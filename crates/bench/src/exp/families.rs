@@ -658,8 +658,8 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
     let mut out = Vec::new();
 
     // Ablation 0: every named policy set on one engine. This is the only
-    // figure the smoke profile (and `IORCH_ABLATION=named`) runs — the
-    // tier-1 sweep pays for the set coverage, not the parameter grids.
+    // figure the smoke profile runs — the tier-1 sweep pays for the set
+    // coverage, not the parameter grids.
     let mut t0 = Figure::new(
         "ablation_named",
         "Ablation — named policy sets (YCSB1 bursty p99.9, us)",
@@ -687,8 +687,7 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
         t0.samples += ops;
     }
     out.push(t0);
-    let named_only = ctx.is_smoke() || std::env::var("IORCH_ABLATION").as_deref() == Ok("named");
-    if named_only {
+    if ctx.is_smoke() {
         return out;
     }
 
@@ -1110,8 +1109,8 @@ pub static REGISTRY: &[Spec] = &[
         },
         slo: None,
         timing: false,
-        notes: "smoke (and IORCH_ABLATION=named) runs only the named-set sweep; the \
-                parameter ablations need the full profile.",
+        notes: "smoke runs only the named-set sweep; the parameter ablations need the \
+                full profile.",
         run: run_ablation,
     },
     Spec {

@@ -10,11 +10,8 @@
 //! per-figure JSON + CSV artifacts (plus a `summary.json`) into a run
 //! directory. Artifacts are byte-deterministic for a `(spec, profile,
 //! seed)` triple; `tier1.sh` gates on that via the smoke sweep and the
-//! `experiment_determinism` suite.
-//!
-//! Environment knobs (read by [`bench_main`], i.e. the `exp_*` shims):
-//! `IORCH_EXP_PROFILE` (`smoke`|`full`, default `full`), `IORCH_EXP_SEED`
-//! (default 42), `IORCH_EXP_OUT` (default `target/experiments`).
+//! `experiment_determinism` suite. The `experiments` binary is the one
+//! command-line entry point (`experiments run <name>`).
 
 mod cluster;
 mod families;
@@ -29,7 +26,7 @@ pub use json::{parse, validate_artifact, Json};
 pub use telemetry::telemetry_run;
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::runner::RunCfg;
 use iorch_metrics::Table;
@@ -262,31 +259,4 @@ fn render_summary(spec: &Spec, ctx: &Ctx, figures: &[Figure]) -> String {
     }
     s.push_str("  ]\n}\n");
     s
-}
-
-/// Entry point for the `exp_*` bench shims: run the named experiments
-/// with profile/seed/outdir taken from the environment.
-pub fn bench_main(names: &[&str]) {
-    let profile = std::env::var("IORCH_EXP_PROFILE")
-        .ok()
-        .and_then(|v| Profile::parse(&v))
-        .unwrap_or(Profile::Full);
-    let seed = std::env::var("IORCH_EXP_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let out = PathBuf::from(
-        std::env::var("IORCH_EXP_OUT").unwrap_or_else(|_| "target/experiments".into()),
-    );
-    for name in names {
-        let spec = find(name).unwrap_or_else(|| panic!("unknown experiment {name:?}"));
-        println!(
-            "== {} [{} profile, seed {}] ==",
-            spec.title,
-            profile.name(),
-            seed
-        );
-        run_spec(spec, profile, seed, &out, false).expect("artifact write failed");
-    }
-    println!("artifacts: {}", out.display());
 }

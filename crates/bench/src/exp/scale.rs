@@ -11,11 +11,11 @@
 //!   The tier-1 gate asserts the last axis point stays within 4x of the
 //!   first (1024 vs 16 under the shipped spec).
 //! * **churn** — 1% of the domains (min 1) are destroyed and recreated
-//!   between ticks, so slot recycling, slab resync and the per-domain
-//!   bookkeeping for the churned slots are on the measured path. This
-//!   variant is expected to scale with the domain count (the resync sweep
-//!   is O(live) on a tick whose domain generation moved) and is reported
-//!   for context, not gated.
+//!   between ticks, so the tick after the churn pays for the new tenants'
+//!   health publication and the anomaly budget sweep. This variant still
+//!   scales with the domain count (`AnomalyRule` walks every domain when
+//!   the store's write total moved, and every create moves it) and is
+//!   reported for context, not gated.
 //!
 //! Because the measurement is `std::time::Instant` wall clock, this spec
 //! is marked `timing: true`: excluded from `experiments run all` and the
@@ -108,8 +108,8 @@ fn steady_ns(doms: u32, seed: u64, warmup: u32, ticks: u32) -> f64 {
 
 /// Churn cost: 1% of the domains (min 1) are replaced between ticks,
 /// outside the timed span — the measurement is the *tick* reacting to the
-/// churn (slab resync, slot bookkeeping, health publication for the new
-/// tenants), not the create/destroy machinery itself.
+/// churn (anomaly budgets, health publication for the new tenants), not
+/// the create/destroy machinery itself.
 fn churn_ns(doms: u32, seed: u64, warmup: u32, ticks: u32) -> f64 {
     let k = (doms as usize / 100).max(1);
     let mut h = Harness::new(doms, seed);

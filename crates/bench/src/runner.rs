@@ -63,20 +63,6 @@ impl RunCfg {
 pub fn single_machine(kind: SystemKind, seed: u64) -> (Simulation<Cluster>, usize) {
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
-    // Debug hook: IORCH_MODE2 provisions per-socket cores with the stock
-    // control plane, to separate the I/O-path mode from the policies.
-    if std::env::var("IORCH_MODE2").is_ok() && kind == SystemKind::IOrchestra {
-        let idx = cl.add_machine(iorch_hypervisor::MachineConfig::paper_testbed(
-            seed,
-            iorch_hypervisor::IoPathMode::DedicatedCores { per_socket: true },
-        ));
-        cl.install_control(
-            s,
-            idx,
-            Box::new(iorchestra::PolicyEngine::new(iorchestra::PolicySet::sdc())),
-        );
-        return (sim, idx);
-    }
     let idx = kind.provision(cl, s, seed);
     (sim, idx)
 }
@@ -199,29 +185,7 @@ pub fn motivation_run(collaborative: bool, cfg: RunCfg) -> MotivationOut {
             },
         );
     }
-    let outcome = sim.run_until(cfg.horizon());
-    if std::env::var("IORCH_PROBE").is_ok() {
-        eprintln!(
-            "  [motivation probe] outcome={outcome:?} now={} ops={}",
-            sim.now(),
-            rec.borrow().ops
-        );
-        let m = sim.world().machine(idx);
-        for dom in m.domains() {
-            let k = &m.domain(dom).unwrap().kernel;
-            eprintln!(
-                "  dom{} congested={} stats={:?}",
-                dom.0,
-                k.queue_congested(),
-                k.stats()
-            );
-        }
-        eprintln!(
-            "  host qdepth={} inflight={}",
-            m.storage.queue_depth(),
-            m.storage.in_flight()
-        );
-    }
+    sim.run_until(cfg.horizon());
     let mean = rec.borrow().hist.mean();
     let ops = rec.borrow().ops;
     let m = sim.world().machine(idx);
@@ -300,28 +264,6 @@ pub fn fig4_run(
         spawn_ycsb(cl, s, &[y2a, y2b], None, p2, Rc::clone(&rec2));
     }
     sim.run_until(cfg.horizon());
-    if std::env::var("IORCH_PROBE").is_ok() {
-        let m = sim.world().machine(idx);
-        for dom in m.domains() {
-            let h = m.io_latency(dom);
-            eprintln!(
-                "  dom{} io_lat mean={:?} n={} bytes={}MB",
-                dom.0,
-                h.map(|h| h.mean()),
-                h.map(|h| h.count()).unwrap_or(0),
-                m.io_bytes(dom) >> 20
-            );
-        }
-        for c in &m.iocores {
-            eprintln!(
-                "  iocore sk{} processed={} Lavg={} backlog={}",
-                c.socket(),
-                c.processed_count(),
-                c.avg_latency(),
-                c.backlog()
-            );
-        }
-    }
     let olio_total = olio_recs.total.borrow().hist.clone();
     let olio_web = olio_recs.web.borrow().hist.clone();
     let olio_db = olio_recs.db.borrow().hist.clone();
@@ -477,26 +419,6 @@ pub fn flush_run(kind: SystemKind, n_vms: usize, dirty_ratio: f64, cfg: RunCfg) 
         recs.push(rec);
     }
     sim.run_until(cfg.horizon());
-    if std::env::var("IORCH_PROBE").is_ok() {
-        let m = sim.world().machine(idx);
-        let (rb, wb) = m.storage.monitor().byte_counts();
-        eprintln!(
-            "  [flush probe] dev reads={}MB writes={}MB qdepth={} congested={}",
-            rb >> 20,
-            wb >> 20,
-            m.storage.queue_depth(),
-            m.storage.is_congested()
-        );
-        for dom in m.domains().take(3) {
-            let k = &m.domain(dom).unwrap().kernel;
-            eprintln!(
-                "  dom{} dirty_pages={} stats={:?}",
-                dom.0,
-                k.dirty_pages(),
-                k.stats()
-            );
-        }
-    }
     // Aggregate FS payload write throughput over the measured window.
     let now = sim.now();
     let bps = recs.iter().map(|r| r.borrow().throughput_bps(now)).sum();

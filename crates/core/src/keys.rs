@@ -42,10 +42,13 @@ pub fn socket_weight(dom: DomainId, socket: usize) -> String {
     format!("{}/virt-dev/weight/{}", XenStore::domain_path(dom), socket)
 }
 
-/// `/iorchestra/health/<id>` — root of the management module's published
-/// per-domain health counters (dom0-owned, world-readable).
+/// Root of the management module's published per-domain health counters
+/// (dom0-owned, world-readable).
+pub const HEALTH_ROOT: &str = "/iorchestra/health";
+
+/// `/iorchestra/health/<id>` — root of one domain's health counters.
 pub fn health_base(dom: DomainId) -> String {
-    format!("/iorchestra/health/{}", dom.0)
+    format!("{}/{}", HEALTH_ROOT, dom.0)
 }
 
 /// `…/flush_timeouts` — `flush_now` commands that timed out unacked.
@@ -86,6 +89,11 @@ pub const STATE_ROOT: &str = "/iorchestra/state";
 /// restarted plane resumes at `persisted + 1` so guests can discard
 /// anything stamped by a dead incarnation (or duplicated on the bus).
 pub const STATE_EPOCH: &str = "/iorchestra/state/epoch";
+
+/// Roots of the management module's per-domain subtrees (`<root>/<id>`):
+/// persisted state, health counters and operator commands. Destroying a
+/// domain removes its subtree under each.
+pub const DOMAIN_ROOTS: [&str; 3] = [STATE_ROOT, HEALTH_ROOT, CONTROL_ROOT];
 
 /// `/iorchestra/state/<id>` — root of one domain's persisted plane state.
 pub fn state_base(dom: DomainId) -> String {

@@ -71,9 +71,6 @@ pub struct PolicyEngine {
     /// is FIFO; membership tests go through the slot's `in_fifo` bit.
     congested_fifo: Vec<DomainId>,
     manager_watch_registered: bool,
-    /// `Machine::domain_generation` at the last slab resync; a tick whose
-    /// generation matches skips the domain sweep entirely.
-    synced_gen: Option<u64>,
     /// Store-wide denied total at the last health publication. While it
     /// holds still, no domain's denied counter moved and the health sweep
     /// can stay on the dirty set; when it moves, a full scan is legal.
@@ -114,7 +111,6 @@ impl PolicyEngine {
             slab: PlaneSlab::default(),
             congested_fifo: Vec::new(),
             manager_watch_registered: false,
-            synced_gen: None,
             denied_total_seen: 0,
             epoch: 0,
             stats: PlaneStats::default(),
@@ -809,23 +805,6 @@ impl PolicyEngine {
             });
         }
     }
-
-    /// Bring the slab in line with the machine's domain set. The
-    /// generation counter makes the steady-state case O(1): a tick during
-    /// which no domain was created or destroyed skips the sweep entirely.
-    /// Covers planes attached after domains already existed (tests,
-    /// mid-run install) and churn the plane never heard about.
-    fn resync_domains(&mut self, m: &Machine) {
-        let gen = m.domain_generation();
-        if self.synced_gen == Some(gen) {
-            return;
-        }
-        self.synced_gen = Some(gen);
-        for dom in m.domains() {
-            self.slab.ensure(m, dom);
-        }
-        self.slab.prune(m);
-    }
 }
 
 impl ControlPlane for PolicyEngine {
@@ -841,7 +820,8 @@ impl ControlPlane for PolicyEngine {
         if !self.collaborative {
             return;
         }
-        if !self.manager_watch_registered {
+        // A crashed plane arms nothing: recovery registers the watches.
+        if !self.manager_watch_registered && !m.is_control_down() {
             m.store.watch(DOM0, "/local");
             m.store.watch(DOM0, keys::CONTROL_ROOT);
             self.manager_watch_registered = true;
@@ -859,12 +839,15 @@ impl ControlPlane for PolicyEngine {
 
     fn on_domain_destroyed(&mut self, m: &mut Machine, _s: &mut Sched, dom: DomainId) {
         if self.collaborative {
-            // Drop the persisted state subtree so a later recovery scan (or
-            // a recycled domain slot) cannot inherit a dead domain's
-            // history.
-            let _ = m.store.remove(DOM0, keys::state_base(dom).as_str());
+            // Drop every per-domain subtree (persisted state, health,
+            // operator commands): a later recovery scan cannot inherit a
+            // dead domain's history, and the store stays bounded by the
+            // live domains.
+            for root in keys::DOMAIN_ROOTS {
+                let _ = m.store.remove(DOM0, format!("{root}/{}", dom.0));
+            }
         }
-        self.slab.remove(dom);
+        self.slab.remove(m, dom);
         self.congested_fifo.retain(|&d| d != dom);
         Self::each_rule(&mut self.set, |r| r.on_domain_destroyed(dom));
     }
@@ -1098,11 +1081,6 @@ impl ControlPlane for PolicyEngine {
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
         let report = self.monitor.sample(m, now);
-        if self.collaborative {
-            // Slots (and interned paths) for every live domain; O(1) via
-            // the generation check when no domain churned since last tick.
-            self.resync_domains(&*m);
-        }
         // Admission stages (anomaly budgets → quarantine).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
         if self.collaborative {
@@ -1171,7 +1149,6 @@ impl ControlPlane for PolicyEngine {
         self.slab.clear();
         self.congested_fifo.clear();
         self.manager_watch_registered = false;
-        self.synced_gen = None;
         self.denied_total_seen = 0;
         self.epoch = 0;
         self.stats = PlaneStats::default();
@@ -1306,7 +1283,6 @@ impl ControlPlane for PolicyEngine {
         }
         let domain_count = scratch.len();
         self.slab.restore_scratch(scratch);
-        self.synced_gen = Some(m.domain_generation());
         self.denied_total_seen = m.store.denied_total();
         // Retries and protocol turnarounds the guests burned against the
         // dead incarnation must not carry over as empty token buckets — a
@@ -1525,5 +1501,172 @@ mod tests {
         plane.on_domain_created(cl.machine_mut(idx), s, probe);
         assert_eq!(plane.slab.len(), 2);
         assert!(plane.quarantined_domains().is_empty());
+    }
+
+    /// Delegates to an engine the test keeps a handle on, so the slab can
+    /// be inspected while the machine drives the engine.
+    struct Shared(Rc<std::cell::RefCell<PolicyEngine>>);
+
+    impl ControlPlane for Shared {
+        fn name(&self) -> &'static str {
+            "shared"
+        }
+        fn tick_period(&self) -> Option<SimDuration> {
+            self.0.borrow().tick_period()
+        }
+        fn on_domain_created(&mut self, m: &mut Machine, s: &mut Sched, dom: DomainId) {
+            self.0.borrow_mut().on_domain_created(m, s, dom);
+        }
+        fn on_domain_destroyed(&mut self, m: &mut Machine, s: &mut Sched, dom: DomainId) {
+            self.0.borrow_mut().on_domain_destroyed(m, s, dom);
+        }
+        fn on_kernel_signal(
+            &mut self,
+            m: &mut Machine,
+            s: &mut Sched,
+            dom: DomainId,
+            sig: KernelSignal,
+        ) {
+            self.0.borrow_mut().on_kernel_signal(m, s, dom, sig);
+        }
+        fn on_store_event(&mut self, m: &mut Machine, s: &mut Sched, ev: WatchEvent) {
+            self.0.borrow_mut().on_store_event(m, s, ev);
+        }
+        fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_tick(m, s);
+        }
+        fn on_crash(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_crash(m, s);
+        }
+        fn on_recover(&mut self, m: &mut Machine, s: &mut Sched) {
+            self.0.borrow_mut().on_recover(m, s);
+        }
+    }
+
+    /// Churn soak oracle: 256 live tenants under read traffic, then 500
+    /// destroy+create cycles with a plane crash and recovery in the
+    /// middle. Every per-domain structure — store nodes and watches, the
+    /// store's per-domain maps, the machine's per-domain maps and slot
+    /// space, I/O-core DRR state, and the engine slab — must return
+    /// exactly to its pre-churn size once traffic quiesces.
+    #[test]
+    fn churn_soak_returns_every_per_domain_structure_to_its_pre_churn_size() {
+        use std::cell::Cell;
+
+        use iorch_guestos::FileOp;
+        use iorch_hypervisor::{IoPathMode, MachineConfig, VmSpec};
+        use iorch_simcore::Simulation;
+
+        const LIVE: usize = 256;
+        const CYCLES: usize = 500;
+        // The plane is down for cycles CRASH..CRASH + 10. Tenants booted
+        // in that window never see the dom0 half of their registration,
+        // so their persisted-state footprint differs; CRASH is early
+        // enough that the churn destroys them again before the end.
+        const CRASH: usize = 200;
+        const FILE: u64 = 64 << 20;
+        const READ: u64 = 64 << 10;
+
+        /// Boot a tenant whose reader issues one uncached read every
+        /// 20 ms while `on` is set, until the tenant is destroyed.
+        fn tenant(cl: &mut Cluster, s: &mut Sched, idx: usize, on: &Rc<Cell<bool>>) -> DomainId {
+            let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(2), |_| {});
+            let file = cl
+                .machine_mut(idx)
+                .kernel_mut(dom)
+                .unwrap()
+                .create_file(FILE)
+                .unwrap();
+            let on = Rc::clone(on);
+            let mut next = 0u64;
+            s.schedule_every(SimDuration::from_millis(20), move |cl: &mut Cluster, s| {
+                if cl.machine(idx).domain(dom).is_none() {
+                    return false;
+                }
+                if on.get() {
+                    let op = FileOp::Read {
+                        file,
+                        offset: next % FILE,
+                        len: READ,
+                    };
+                    next += READ;
+                    cl.submit_op(s, idx, dom, 0, op, None);
+                }
+                true
+            });
+            dom
+        }
+
+        type Sizes = (
+            usize,
+            usize,
+            [usize; 5],
+            [usize; 5],
+            usize,
+            Vec<[usize; 4]>,
+            [usize; 6],
+        );
+        fn sizes(cl: &Cluster, idx: usize, engine: &PolicyEngine) -> Sizes {
+            let m = cl.machine(idx);
+            // The recovery persists the plane's global epoch; every other
+            // node belongs to a live domain or to the fixed layout.
+            let nodes = m.store.dump().into_iter();
+            (
+                nodes.filter(|(p, ..)| p != keys::STATE_EPOCH).count(),
+                m.store.watch_count(),
+                m.store.domain_entries(),
+                m.domain_entries(),
+                m.slot_count(),
+                m.iocores.iter().map(|c| c.domain_entries()).collect(),
+                engine.slab.occupancy(),
+            )
+        }
+
+        let mut sim = Simulation::new(Cluster::new());
+        let (cl, s) = sim.parts_mut();
+        let idx = cl.add_machine(MachineConfig::paper_testbed(
+            11,
+            IoPathMode::DedicatedCores { per_socket: true },
+        ));
+        let engine = Rc::new(std::cell::RefCell::new(PolicyEngine::new(
+            IOrchestraConfig::new(11),
+        )));
+        cl.install_control(s, idx, Box::new(Shared(Rc::clone(&engine))));
+        let on = Rc::new(Cell::new(true));
+        let mut live: std::collections::VecDeque<DomainId> =
+            (0..LIVE).map(|_| tenant(cl, s, idx, &on)).collect();
+
+        let settle = |sim: &mut Simulation<Cluster>, on: &Cell<bool>| {
+            on.set(false);
+            let quiet = sim.now() + SimDuration::from_secs(1);
+            sim.run_until(quiet);
+            on.set(true);
+        };
+        sim.run_until(SimTime::from_millis(500));
+        settle(&mut sim, &on);
+        let before = sizes(sim.world(), idx, &engine.borrow());
+        assert_eq!(before.4, LIVE);
+        assert!(before.3.iter().all(|&n| n == LIVE), "{before:?}");
+
+        for cycle in 0..CYCLES {
+            let t = sim.now() + SimDuration::from_millis(1);
+            sim.run_until(t);
+            let (cl, s) = sim.parts_mut();
+            if cycle == CRASH {
+                Cluster::crash_control(cl, s, idx);
+            }
+            if cycle == CRASH + 10 {
+                Cluster::recover_control(cl, s, idx);
+            }
+            let old = live.pop_front().unwrap();
+            cl.destroy_domain(s, idx, old);
+            live.push_back(tenant(cl, s, idx, &on));
+        }
+        // The newest tenants need traffic of their own before quiescing.
+        let t = sim.now() + SimDuration::from_millis(500);
+        sim.run_until(t);
+        settle(&mut sim, &on);
+        let after = sizes(sim.world(), idx, &engine.borrow());
+        assert_eq!(after, before, "per-domain state leaked across churn");
     }
 }

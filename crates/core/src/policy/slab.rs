@@ -298,9 +298,9 @@ impl PlaneSlab {
     }
 
     /// Forget a domain: reset its slot and purge it from every list.
-    pub fn remove(&mut self, dom: DomainId) {
-        if let Some(s) = self.slots.iter_mut().find(|s| s.dom == Some(dom)) {
-            *s = DomSlot::default();
+    pub fn remove(&mut self, m: &Machine, dom: DomainId) {
+        if let Some(i) = self.live_index(m, dom) {
+            self.slots[i] = DomSlot::default();
         }
         for list in [
             &mut self.attention,
@@ -311,24 +311,6 @@ impl PlaneSlab {
         ] {
             list.retain(|&d| d != dom);
         }
-    }
-
-    /// Drop list entries for domains the machine no longer knows (or
-    /// whose slot was recycled). Behaviour-neutral — sweeps skip such
-    /// entries anyway — but keeps list sizes bounded after churn the
-    /// plane never heard about.
-    pub fn prune(&mut self, m: &Machine) {
-        let slots = &self.slots;
-        let live = |dom: DomainId| {
-            m.slot_of(dom)
-                .and_then(|i| slots.get(i))
-                .is_some_and(|s| s.dom == Some(dom))
-        };
-        self.attention.retain(|&d| live(d));
-        self.health_dirty.retain(|&d| live(d));
-        self.flush_active.retain(|&d| live(d));
-        self.kernel_dirty.retain(|&d| live(d));
-        self.store_dirty.retain(|&d| live(d));
     }
 
     /// Reset to boot state (plane crash: process memory dies with dom0).
@@ -363,6 +345,20 @@ impl PlaneSlab {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Occupied slots plus the length of every dirty-set list
+    /// (churn-test observability).
+    #[cfg(test)]
+    pub fn occupancy(&self) -> [usize; 6] {
+        [
+            self.slots.iter().filter(|s| s.dom.is_some()).count(),
+            self.attention.len(),
+            self.health_dirty.len(),
+            self.flush_active.len(),
+            self.kernel_dirty.len(),
+            self.store_dirty.len(),
+        ]
     }
 }
 

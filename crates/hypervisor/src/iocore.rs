@@ -70,7 +70,6 @@ pub struct IoCore {
     in_process: Option<InProcess>,
     ewma_latency_us: f64,
     processed: u64,
-    bytes: BTreeMap<DomainId, u64>,
 }
 
 impl IoCore {
@@ -88,7 +87,6 @@ impl IoCore {
             in_process: None,
             ewma_latency_us: 0.0,
             processed: 0,
-            bytes: BTreeMap::new(),
         }
     }
 
@@ -141,9 +139,15 @@ impl IoCore {
         self.processed
     }
 
-    /// Bytes processed for one VM.
-    pub fn bytes_of(&self, dom: DomainId) -> u64 {
-        self.bytes.get(&dom).copied().unwrap_or(0)
+    /// Entries in the DRR state: per-VM buffers, credits, quanta and the
+    /// rotation. [`IoCore::remove_domain`] drops a VM from all four.
+    pub fn domain_entries(&self) -> [usize; 4] {
+        [
+            self.buffers.len(),
+            self.credits.len(),
+            self.quanta.len(),
+            self.rotation.len(),
+        ]
     }
 
     /// Enqueue a request into a VM's buffer. `remote` marks a payload on a
@@ -244,7 +248,6 @@ impl IoCore {
             0.8 * self.ewma_latency_us + 0.2 * lat_us
         };
         self.processed += 1;
-        *self.bytes.entry(ip.dom).or_insert(0) += ip.req.len;
         (ip.dom, ip.req)
     }
 

@@ -252,9 +252,6 @@ pub struct Machine {
     slot_free: Vec<usize>,
     /// High-water slot count: every live domain's slot is `< slot_high`.
     slot_high: usize,
-    /// Bumped on every domain create/destroy — an O(1) staleness check
-    /// for control planes mirroring the domain set in slot-indexed state.
-    domain_gen: u64,
     vdisk_cursor: u64,
     stream_to_dom: HashMap<StreamId, DomainId>,
     control: Option<Box<dyn ControlPlane>>,
@@ -706,7 +703,6 @@ impl Machine {
             next_domid: 1,
             slot_free: Vec::new(),
             slot_high: 0,
-            domain_gen: 0,
             vdisk_cursor: 0,
             stream_to_dom: HashMap::new(),
             control: None,
@@ -777,11 +773,18 @@ impl Machine {
         self.slot_high
     }
 
-    /// Monotonic generation bumped on every domain create/destroy. Equal
-    /// generations mean an identical live-domain set, so a control plane
-    /// can skip per-domain resync in O(1).
-    pub fn domain_generation(&self) -> u64 {
-        self.domain_gen
+    /// Entries in the machine's per-domain maps: domains, stream routes,
+    /// I/O latency histograms, I/O byte counts and completed-op counts.
+    /// Destroying a domain drops all five, so each stays bounded by the
+    /// live domain count.
+    pub fn domain_entries(&self) -> [usize; 5] {
+        [
+            self.domains.len(),
+            self.stream_to_dom.len(),
+            self.io_hist.len(),
+            self.io_bytes.len(),
+            self.ops_completed.len(),
+        ]
     }
 
     /// Capacity snapshot a cluster placement layer scores against: static
@@ -838,7 +841,6 @@ impl Machine {
             self.slot_high += 1;
             s
         });
-        self.domain_gen += 1;
         let cores = self
             .topology
             .place(id, spec.vcpus, PlacementPolicy::PreferSameSocket);
@@ -895,16 +897,21 @@ impl Machine {
     fn destroy_domain_inner(&mut self, dom: DomainId) {
         if let Some(d) = self.domains.remove(&dom) {
             self.slot_free.push(d.slot);
-            self.domain_gen += 1;
             self.topology.unplace(&d.cores);
             self.stream_to_dom.remove(&d.kernel.stream());
             self.storage.drain_stream(d.kernel.stream());
             for core in &mut self.iocores {
                 core.remove_domain(dom);
             }
+            // Remove the subtree before forgetting the domain: the removal
+            // events queued for its watches must still be delivered.
             let _ = self
                 .store
                 .remove(crate::xenstore::DOM0, XenStore::domain_path(dom));
+            self.store.forget_domain(dom);
+            self.io_hist.remove(&dom);
+            self.io_bytes.remove(&dom);
+            self.ops_completed.remove(&dom);
         }
     }
 
@@ -1516,7 +1523,6 @@ mod tests {
         assert_eq!(m.slot_of(a), Some(0));
         assert_eq!(m.slot_of(b), Some(1));
         assert_eq!(m.slot_count(), 2);
-        let gen0 = m.domain_generation();
         // Churn: each destroy frees the slot, each create reuses it, the
         // DomainId keeps advancing and the slot high-water never grows.
         let mut last = b;
@@ -1530,7 +1536,6 @@ mod tests {
         let m = cl.machine(idx);
         assert_eq!(m.slot_count(), 2, "slot space bounded by peak domains");
         assert_eq!(m.slot_of(last), Some(1));
-        assert_eq!(m.domain_generation(), gen0 + 64, "one bump per lifecycle");
         assert!(m.slot_of(b).is_none(), "dead domains have no slot");
     }
 

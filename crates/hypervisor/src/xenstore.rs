@@ -444,11 +444,11 @@ pub struct XenStore {
     txns: BTreeMap<u64, Vec<(DomainId, StorePath, Rc<str>)>>,
     next_txn: u64,
     write_counts: BTreeMap<DomainId, u64>,
-    /// Sum of all `write_counts` values. Monotonic: an unchanged total
-    /// proves every per-domain count is unchanged, so per-tick anomaly
-    /// scans can skip the domain loop in O(1).
+    /// Writes by all domains ever, forgotten ones included. Monotonic: an
+    /// unchanged total proves every per-domain count is unchanged, so
+    /// per-tick anomaly scans can skip the domain loop in O(1).
     write_total: u64,
-    /// Sum of all `denied_counts` values (same O(1) change check).
+    /// Denied operations by all domains ever (same O(1) change check).
     denied_total: u64,
     /// Per-domain count of denied write-type operations (write /
     /// write_if_changed / remove / mkdir returning `PermissionDenied`) —
@@ -1046,6 +1046,35 @@ impl XenStore {
     /// Number of registered watches.
     pub fn watch_count(&self) -> usize {
         self.watch_prefixes.len()
+    }
+
+    /// Forget a destroyed domain: drop its watches, its write/denied
+    /// counters, its write-rate bucket, its owned-node count and its quota
+    /// override. The monotonic [`write_total`](XenStore::write_total) and
+    /// [`denied_total`](XenStore::denied_total) keep their values. Events
+    /// already queued for the domain's watches are kept, so removing the
+    /// domain's subtree first still delivers every removal event.
+    pub fn forget_domain(&mut self, dom: DomainId) {
+        self.unwatch_owner(dom);
+        self.write_counts.remove(&dom);
+        self.denied_counts.remove(&dom);
+        self.buckets.remove(&dom);
+        self.owned_counts.remove(&dom);
+        self.quota_overrides.remove(&dom);
+    }
+
+    /// Entries in the per-domain maps: write counters, denied counters,
+    /// rate buckets, owned-node counts and quota overrides. Each holds
+    /// only domains not yet passed to
+    /// [`forget_domain`](XenStore::forget_domain).
+    pub fn domain_entries(&self) -> [usize; 5] {
+        [
+            self.write_counts.len(),
+            self.denied_counts.len(),
+            self.buckets.len(),
+            self.owned_counts.len(),
+            self.quota_overrides.len(),
+        ]
     }
 
     /// Queue events for every watch whose prefix covers `path`.
@@ -1679,6 +1708,31 @@ mod tests {
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].watch, survivor);
         assert_eq!(s.unwatch_owner(DOM0), 0);
+    }
+
+    #[test]
+    fn forget_domain_drops_per_domain_state_but_keeps_totals_and_queued_events() {
+        let mut s = quota_store(StoreQuota::generous());
+        let path = XenStore::domain_path(d(1));
+        let own = s.watch(d(1), path.as_str());
+        s.write(d(1), "/local/domain/1/x", "v").unwrap();
+        let _ = s.write(d(1), "/local/domain/2/x", "v");
+        s.set_domain_quota(d(1), Some(StoreQuota::generous()));
+        s.take_events();
+        let (writes, denied) = (s.write_total(), s.denied_total());
+        s.remove(DOM0, path.as_str()).unwrap();
+        s.forget_domain(d(1));
+        assert_eq!(s.watch_count(), 0);
+        assert_eq!(
+            s.domain_entries(),
+            [0, 0, 0, 1, 0],
+            "only dom0's owned count"
+        );
+        assert_eq!((s.write_total(), s.denied_total()), (writes, denied));
+        // The removal events queued before the forget are still delivered.
+        let evs = s.take_events();
+        assert_eq!(evs.len(), 2);
+        assert!(evs.iter().all(|e| e.watch == own && e.value.is_none()));
     }
 
     fn quota_store(quota: StoreQuota) -> XenStore {

@@ -160,13 +160,6 @@ fn run(collaborative: bool, initial_buf: u64) -> (f64, f64, u64) {
     }
     sim.run_until(SimTime::from_secs(10));
     let w = sim.world();
-    if std::env::var("IORCH_PROBE").is_ok() {
-        eprintln!(
-            "  caps: {:?} rejected: {:?}",
-            w.queues.iter().map(|q| q.capacity()).collect::<Vec<_>>(),
-            w.queues.iter().map(|q| q.rejected()).collect::<Vec<_>>()
-        );
-    }
     let goodput = w.sent_pkts as f64 * PKT as f64 / 10.0 / 1e6;
     let avg_delay_ms = if w.delays_n == 0 {
         0.0

@@ -28,15 +28,12 @@ cargo test -q --offline -p iorch-bench --release --test cluster_convergence -- -
 # legacy plane, seed-swept (the exhaustive sweep is #[ignore]d in debug).
 cargo test -q --offline -p iorch-bench --release --test policy_equivalence -- --include-ignored
 
-# Named-policy-set ablation sweep: all seven sets must provision and
-# complete the bursty run on one engine (IORCH_ABLATION=named keeps the
-# parameter ablations out of the gate).
-cargo build --release --offline -p iorch-bench --benches
-IORCH_ABLATION=named cargo bench --offline -p iorch-bench --bench exp_ablation
-
 # Declarative-runner smoke sweep: every named experiment runs at the
 # smoke profile and every emitted JSON artifact must pass schema
 # validation (required keys, finite numbers, nonzero sample counts).
+# This includes the named-policy-set ablation: all seven sets must
+# provision and complete the bursty run on one engine (the smoke
+# profile skips the parameter ablations).
 cargo build --release --offline -p iorch-bench --bin experiments
 rm -rf target/exp-smoke
 target/release/experiments run all --profile smoke --seed 42 --out target/exp-smoke --quiet
