@@ -1,0 +1,32 @@
+//! Hash map keyed by integer ids (chunk indices, file/op/request ids).
+//!
+//! The keys are simulator-assigned integers, so the map needs neither
+//! DoS-resistant hashing nor SipHash's cost: one multiply per key. The
+//! hasher is unseeded, so even iteration order repeats from run to run
+//! (std's `RandomState` does not).
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` with the multiplicative [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative hasher for integer keys.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}

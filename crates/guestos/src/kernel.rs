@@ -8,14 +8,15 @@
 //! [`grant_bypass`](GuestKernel::grant_bypass),
 //! [`remote_sync`](GuestKernel::remote_sync)) — and collects block requests
 //! for the frontend ring, completed file operations, and edge-triggered
-//! [`KernelSignal`]s from [`GuestKernel::take_outputs`].
+//! [`KernelSignal`]s from [`GuestKernel::swap_outputs`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use iorch_simcore::trace::TraceEventKind;
 use iorch_simcore::{trace_event, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};
 
+use crate::idmap::IdMap;
 use crate::pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
 use crate::queue::{GuestQueue, GuestQueueParams, QueueEvent, Submit};
 use crate::vfs::{FileId, Vfs, VfsError};
@@ -220,11 +221,11 @@ pub struct GuestKernel {
     wb: Writeback,
     ids: RequestIdAlloc,
     next_op: u64,
-    ops: HashMap<OpId, OpState>,
-    owners: HashMap<RequestId, ReqOwner>,
+    ops: IdMap<OpId, OpState>,
+    owners: IdMap<RequestId, ReqOwner>,
     blocked: VecDeque<PendingSubmit>,
     throttled: VecDeque<(OpId, SimTime)>,
-    last_read_pos: HashMap<FileId, u64>,
+    last_read_pos: IdMap<FileId, u64>,
     remote_sync_inflight: usize,
     /// Set when a synchronous submitter (read / sync) is about to block —
     /// Linux flushes the plug list on `io_schedule`, so these requests
@@ -262,11 +263,11 @@ impl GuestKernel {
             wb: Writeback::new(cfg.wb, now),
             ids: RequestIdAlloc::new(),
             next_op: 0,
-            ops: HashMap::new(),
-            owners: HashMap::new(),
+            ops: IdMap::default(),
+            owners: IdMap::default(),
             blocked: VecDeque::new(),
             throttled: VecDeque::new(),
-            last_read_pos: HashMap::new(),
+            last_read_pos: IdMap::default(),
             remote_sync_inflight: 0,
             unplug_now: false,
             blocked_wake_at: None,
@@ -394,9 +395,16 @@ impl GuestKernel {
         t
     }
 
-    /// Drain accumulated outputs.
-    pub fn take_outputs(&mut self) -> KernelOutputs {
-        std::mem::take(&mut self.out)
+    /// Exchange the accumulated outputs with `spare`, which must be fully
+    /// drained. The caller drains what it receives (e.g. with
+    /// `Vec::drain`) and passes the same buffers back next time, so a
+    /// steady-state op allocates no output vectors.
+    pub fn swap_outputs(&mut self, spare: &mut KernelOutputs) {
+        debug_assert!(
+            spare.to_ring.is_empty() && spare.completed.is_empty() && spare.signals.is_empty(),
+            "spare outputs must be drained before the swap"
+        );
+        std::mem::swap(&mut self.out, spare);
     }
 
     /// The op a block request belongs to, if any (readahead and background
@@ -778,18 +786,19 @@ impl GuestKernel {
         self.housekeeping(now);
     }
 
+    /// Drain the queue's edge-triggered events into the signal outputs.
+    fn forward_queue_events(&mut self) {
+        self.out
+            .signals
+            .extend(self.queue.poll_events().map(|ev| match ev {
+                QueueEvent::CongestionWouldEnter => KernelSignal::CongestionQuery,
+                QueueEvent::Uncongested => KernelSignal::CongestionCleared,
+            }));
+    }
+
     fn housekeeping(&mut self, now: SimTime) {
         // 1. Queue events -> signals.
-        for ev in self.queue.poll_events() {
-            match ev {
-                QueueEvent::CongestionWouldEnter => {
-                    self.out.signals.push(KernelSignal::CongestionQuery);
-                }
-                QueueEvent::Uncongested => {
-                    self.out.signals.push(KernelSignal::CongestionCleared);
-                }
-            }
-        }
+        self.forward_queue_events();
         // 2. Retry blocked submissions FIFO while the queue accepts them —
         // but only a wake-delay after the congestion cleared (waking the
         // sleeping process costs a context switch and VCPU scheduling).
@@ -821,16 +830,7 @@ impl GuestKernel {
             }
         }
         // Queue events may have fired again during retries.
-        for ev in self.queue.poll_events() {
-            match ev {
-                QueueEvent::CongestionWouldEnter => {
-                    self.out.signals.push(KernelSignal::CongestionQuery);
-                }
-                QueueEvent::Uncongested => {
-                    self.out.signals.push(KernelSignal::CongestionCleared);
-                }
-            }
-        }
+        self.forward_queue_events();
         // 3. Wake throttled writers: only after their minimum pause AND
         // once pressure has drained below the hysteresis point.
         while let Some(&(op, earliest)) = self.throttled.front() {
@@ -850,8 +850,9 @@ impl GuestKernel {
             .filter(|&e| e > now);
         // 4. Dispatch unplugged requests to the ring.
         let force = std::mem::take(&mut self.unplug_now);
-        let batch = self.queue.take_dispatchable(now, force);
-        self.out.to_ring.extend(batch);
+        self.out
+            .to_ring
+            .extend(self.queue.take_dispatchable(now, force));
         // 5. Dirty-status edge for the system store.
         let has_dirty = self.cache.dirty_pages() > 0;
         if has_dirty != self.had_dirty {
@@ -877,11 +878,18 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// Drain the kernel's outputs into fresh buffers.
+    fn take_outputs(k: &mut GuestKernel) -> KernelOutputs {
+        let mut out = KernelOutputs::default();
+        k.swap_outputs(&mut out);
+        out
+    }
+
     /// Drive all ring requests to completion instantly (ideal device).
     fn complete_all(k: &mut GuestKernel, now: SimTime) -> usize {
         let mut n = 0;
         loop {
-            let out = k.take_outputs();
+            let out = take_outputs(k);
             if out.to_ring.is_empty() {
                 break;
             }
@@ -924,11 +932,11 @@ mod tests {
             t(0),
         );
         // Miss: op pending; the blocking reader unplugs immediately.
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert!(out.completed.is_empty());
         assert_eq!(out.to_ring.len(), 1);
         k.on_block_complete(out.to_ring[0].id, t(1));
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert_eq!(out.completed.len(), 1);
         assert_eq!(out.completed[0].op, op1);
         assert_eq!(out.completed[0].class, OpClass::Read);
@@ -941,7 +949,7 @@ mod tests {
             },
             t(2),
         );
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert_eq!(out.completed.len(), 1);
         assert_eq!(out.completed[0].op, op2);
         assert!(k.stats().cache_hit_chunks >= 1);
@@ -969,7 +977,7 @@ mod tests {
             t(1),
         );
         k.on_timer(k.next_deadline());
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         // Demand chunks 0,1 plus 4 readahead chunks => >= 2 requests and
         // total bytes > 2 chunks.
         let total: u64 = out.to_ring.iter().map(|r| r.len).sum();
@@ -988,7 +996,7 @@ mod tests {
             },
             t(0),
         );
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert_eq!(out.completed.len(), 1);
         assert_eq!(out.completed[0].op, op);
         assert_eq!(k.dirty_pages(), 4 * CHUNK_PAGES);
@@ -1009,11 +1017,11 @@ mod tests {
             },
             t(0),
         );
-        k.take_outputs();
+        take_outputs(&mut k);
         let sync = k.start_op(FileOp::Sync, t(1));
         // Not complete until the writeback requests finish — but the sync
         // barrier dispatched them to the ring immediately.
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert!(out.completed.is_empty());
         assert_eq!(k.dirty_pages(), 0); // moved to writeback
         assert!(!out.to_ring.is_empty());
@@ -1021,7 +1029,7 @@ mod tests {
         for id in ids {
             k.on_block_complete(id, t(5));
         }
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert_eq!(out.completed.len(), 1);
         assert_eq!(out.completed[0].op, sync);
         assert_eq!(out.completed[0].class, OpClass::Sync);
@@ -1039,16 +1047,16 @@ mod tests {
             },
             t(0),
         );
-        k.take_outputs();
+        take_outputs(&mut k);
         k.remote_sync(t(1));
         k.on_timer(k.next_deadline());
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         let mut signals = out.signals.clone();
         assert!(!out.to_ring.is_empty());
         for r in out.to_ring {
             k.on_block_complete(r.id, t(2));
         }
-        signals.extend(k.take_outputs().signals);
+        signals.extend(take_outputs(&mut k).signals);
         assert!(signals.contains(&KernelSignal::RemoteSyncCompleted));
         // Dirty status must have gone back to false at some point.
         assert!(signals.contains(&KernelSignal::DirtyStatusChanged(false)));
@@ -1058,7 +1066,7 @@ mod tests {
     fn remote_sync_with_nothing_dirty_completes_immediately() {
         let mut k = GuestKernel::new(cfg(), t(0));
         k.remote_sync(t(0));
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert!(out.signals.contains(&KernelSignal::RemoteSyncCompleted));
     }
 
@@ -1078,14 +1086,14 @@ mod tests {
             },
             t(0),
         );
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert!(out.completed.is_empty(), "writer must be throttled");
         assert_eq!(k.stats().throttled_writes, 1);
         // Let writeback complete; the writer wakes.
         k.on_timer(k.next_deadline());
         let mut done = false;
         for _ in 0..100 {
-            let out = k.take_outputs();
+            let out = take_outputs(&mut k);
             for r in out.to_ring {
                 k.on_block_complete(r.id, t(10));
             }
@@ -1115,7 +1123,7 @@ mod tests {
                 },
                 t(0),
             );
-            let out = k.take_outputs();
+            let out = take_outputs(&mut k);
             ring.extend(out.to_ring.iter().map(|r| r.id));
             if out.signals.contains(&KernelSignal::CongestionQuery) {
                 signalled = true;
@@ -1156,7 +1164,7 @@ mod tests {
                 },
                 t(0),
             );
-            let out = k.take_outputs();
+            let out = take_outputs(&mut k);
             if out.signals.contains(&KernelSignal::CongestionQuery) {
                 k.grant_bypass(t(0));
             }
@@ -1181,14 +1189,14 @@ mod tests {
             },
             t(0),
         );
-        k.take_outputs();
+        take_outputs(&mut k);
         // Before expiry: periodic runs but flushes nothing (below bg ratio).
         k.on_timer(t(100));
         assert_eq!(k.dirty_pages(), CHUNK_PAGES);
         // After expiry.
         k.on_timer(t(300));
         assert_eq!(k.dirty_pages(), 0);
-        let out = k.take_outputs();
+        let out = take_outputs(&mut k);
         assert!(!out.to_ring.is_empty() || !k.queue_congested());
     }
 
@@ -1214,7 +1222,7 @@ mod tests {
             },
             t(0),
         );
-        k.take_outputs();
+        take_outputs(&mut k);
         assert_eq!(
             k.next_deadline(),
             SimTime::ZERO + k.wb.params().periodic_interval

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+mod idmap;
 mod kernel;
 mod pagecache;
 mod queue;

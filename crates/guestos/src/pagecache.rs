@@ -4,10 +4,18 @@
 //! disk chunk index. The dirty counters reproduce what Linux exposes via
 //! `bdi_writeback.nr` — the quantity a guest publishes to the system store
 //! as `has_dirty_pages` under IOrchestra (paper §3.1).
+//!
+//! Resident chunks live in a slab of slots linked into an intrusive LRU
+//! list (head = least recently used, tail = most recently used); freed
+//! slots are reused through a free list threaded through the same links.
+//! A cache hit is one hash lookup plus a relink to the tail: no heap
+//! allocation and no tree rebalance.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use iorch_simcore::SimTime;
+
+use crate::idmap::IdMap;
 
 /// Bytes per page (x86 default).
 pub const PAGE_SIZE: u64 = 4096;
@@ -40,21 +48,30 @@ enum ChunkState {
     DirtyWriteback,
 }
 
+/// End-of-list marker for the intrusive links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot: a resident chunk and its LRU links, or (when free) a
+/// free-list entry whose `next` is the next free slot.
 #[derive(Clone, Copy, Debug)]
-struct Chunk {
+struct Slot {
+    idx: ChunkIdx,
     state: ChunkState,
-    lru_stamp: u64,
     dirtied_at: SimTime,
+    prev: u32,
+    next: u32,
 }
 
 /// LRU page cache with dirty tracking at chunk granularity.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     capacity_pages: u64,
-    chunks: HashMap<ChunkIdx, Chunk>,
-    lru: BTreeMap<u64, ChunkIdx>,
+    slots: Vec<Slot>,
+    index: IdMap<ChunkIdx, u32>,
+    free_head: u32,
+    lru_head: u32,
+    lru_tail: u32,
     dirty_order: BTreeMap<(SimTime, ChunkIdx), ()>,
-    next_stamp: u64,
     dirty_chunks: u64,
     writeback_chunks: u64,
 }
@@ -68,43 +85,106 @@ impl PageCache {
         );
         PageCache {
             capacity_pages,
-            chunks: HashMap::new(),
-            lru: BTreeMap::new(),
+            slots: Vec::new(),
+            index: IdMap::default(),
+            free_head: NIL,
+            lru_head: NIL,
+            lru_tail: NIL,
             dirty_order: BTreeMap::new(),
-            next_stamp: 0,
             dirty_chunks: 0,
             writeback_chunks: 0,
         }
     }
 
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
+    /// Unlink slot `s` from the LRU list.
+    fn unlink(&mut self, s: u32) {
+        let Slot { prev, next, .. } = self.slots[s as usize];
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
     }
 
-    fn touch_lru(&mut self, idx: ChunkIdx) {
-        let new_stamp = self.stamp();
-        if let Some(c) = self.chunks.get_mut(&idx) {
-            self.lru.remove(&c.lru_stamp);
-            c.lru_stamp = new_stamp;
-            self.lru.insert(new_stamp, idx);
+    /// Link an unlinked slot `s` at the MRU end.
+    fn push_tail(&mut self, s: u32) {
+        let slot = &mut self.slots[s as usize];
+        slot.prev = self.lru_tail;
+        slot.next = NIL;
+        match self.lru_tail {
+            NIL => self.lru_head = s,
+            t => self.slots[t as usize].next = s,
         }
+        self.lru_tail = s;
+    }
+
+    fn move_to_tail(&mut self, s: u32) {
+        if self.lru_tail != s {
+            self.unlink(s);
+            self.push_tail(s);
+        }
+    }
+
+    /// Make `idx` resident in `state` at the MRU end; the caller has
+    /// checked it is absent.
+    fn insert_new(&mut self, idx: ChunkIdx, state: ChunkState, dirtied_at: SimTime) {
+        let slot = Slot {
+            idx,
+            state,
+            dirtied_at,
+            prev: NIL,
+            next: NIL,
+        };
+        let s = match self.free_head {
+            NIL => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            f => {
+                self.free_head = self.slots[f as usize].next;
+                self.slots[f as usize] = slot;
+                f
+            }
+        };
+        self.index.insert(idx, s);
+        self.push_tail(s);
     }
 
     /// Whether a chunk is resident (hit).
     pub fn contains(&self, idx: ChunkIdx) -> bool {
-        self.chunks.contains_key(&idx)
+        self.index.contains_key(&idx)
     }
 
     /// Record a read hit, refreshing LRU position.
     pub fn touch(&mut self, idx: ChunkIdx) {
-        self.touch_lru(idx);
+        if let Some(&s) = self.index.get(&idx) {
+            self.move_to_tail(s);
+        }
     }
 
     /// Total resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.chunks.len() as u64 * CHUNK_PAGES
+        self.index.len() as u64 * CHUNK_PAGES
+    }
+
+    /// Resident chunks from least to most recently used (the order in
+    /// which clean chunks become eviction victims).
+    pub fn lru_order(&self) -> impl Iterator<Item = ChunkIdx> + '_ {
+        let mut s = self.lru_head;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(s as usize)?;
+            s = slot.next;
+            Some(slot.idx)
+        })
+    }
+
+    /// Slab slots allocated so far, resident or free: the peak resident
+    /// chunk count, since freed slots are reused before the slab grows.
+    pub fn slab_slots(&self) -> usize {
+        self.slots.len()
     }
 
     /// Dirty pages, the `bdi_writeback.nr` analogue (includes chunks that
@@ -142,93 +222,72 @@ impl PageCache {
 
     /// Insert a chunk as clean (read miss fill). Evicts clean LRU chunks to
     /// stay within capacity; dirty/writeback chunks are never evicted.
-    /// Returns the evicted chunk indices.
-    pub fn insert_clean(&mut self, idx: ChunkIdx) -> Vec<ChunkIdx> {
-        if self.chunks.contains_key(&idx) {
-            self.touch_lru(idx);
-            return Vec::new();
+    pub fn insert_clean(&mut self, idx: ChunkIdx) {
+        if let Some(&s) = self.index.get(&idx) {
+            self.move_to_tail(s);
+            return;
         }
-        let stamp = self.stamp();
-        self.chunks.insert(
-            idx,
-            Chunk {
-                state: ChunkState::Clean,
-                lru_stamp: stamp,
-                dirtied_at: SimTime::ZERO,
-            },
-        );
-        self.lru.insert(stamp, idx);
-        self.evict_to_capacity(idx)
+        self.insert_new(idx, ChunkState::Clean, SimTime::ZERO);
+        self.evict_to_capacity(idx);
     }
 
-    fn evict_to_capacity(&mut self, protect: ChunkIdx) -> Vec<ChunkIdx> {
-        let mut evicted = Vec::new();
-        while self.resident_pages() > self.capacity_pages {
-            // Find the least-recently-used *clean* chunk, never the one
-            // being inserted right now (it is in use by the caller).
-            let victim = self
-                .lru
-                .iter()
-                .map(|(_, &i)| i)
-                .find(|&i| i != protect && self.chunks[&i].state == ChunkState::Clean);
-            match victim {
-                Some(i) => {
-                    let c = self.chunks.remove(&i).unwrap();
-                    self.lru.remove(&c.lru_stamp);
-                    evicted.push(i);
+    fn evict_to_capacity(&mut self, protect: ChunkIdx) {
+        // Victims are the least-recently-used *clean* chunks, never the
+        // one being inserted right now (it is in use by the caller). The
+        // chunks skipped on the way stay unevictable for this call, so
+        // the walk resumes after each victim instead of at the head.
+        let mut cursor = self.lru_head;
+        while self.over_capacity() {
+            while cursor != NIL {
+                let slot = self.slots[cursor as usize];
+                if slot.idx != protect && slot.state == ChunkState::Clean {
+                    break;
                 }
+                cursor = slot.next;
+            }
+            if cursor == NIL {
                 // All remaining chunks are dirty or in writeback; the cache
                 // temporarily exceeds capacity (Linux allows this up to the
                 // dirty limits; the kernel reacts by throttling writers).
-                None => break,
+                break;
             }
+            let victim = cursor;
+            cursor = self.slots[victim as usize].next;
+            self.unlink(victim);
+            self.index.remove(&self.slots[victim as usize].idx);
+            self.slots[victim as usize].next = self.free_head;
+            self.free_head = victim;
         }
-        evicted
     }
 
-    /// Mark a chunk dirty at `now` (write). Inserts it if absent. Returns
-    /// any chunks evicted to make room.
-    pub fn mark_dirty(&mut self, idx: ChunkIdx, now: SimTime) -> Vec<ChunkIdx> {
-        let stamp = self.stamp();
-        let mut evicted = Vec::new();
-        match self.chunks.get_mut(&idx) {
-            Some(c) => {
-                self.lru.remove(&c.lru_stamp);
-                c.lru_stamp = stamp;
-                self.lru.insert(stamp, idx);
-                match c.state {
-                    ChunkState::Clean => {
-                        c.state = ChunkState::Dirty;
-                        c.dirtied_at = now;
-                        self.dirty_order.insert((now, idx), ());
-                        self.dirty_chunks += 1;
-                    }
-                    ChunkState::Dirty | ChunkState::DirtyWriteback => {}
-                    ChunkState::Writeback => {
-                        c.state = ChunkState::DirtyWriteback;
-                        c.dirtied_at = now;
-                        self.dirty_order.insert((now, idx), ());
-                        self.dirty_chunks += 1;
-                        self.writeback_chunks -= 1;
-                    }
-                }
-            }
-            None => {
-                self.chunks.insert(
-                    idx,
-                    Chunk {
-                        state: ChunkState::Dirty,
-                        lru_stamp: stamp,
-                        dirtied_at: now,
-                    },
-                );
-                self.lru.insert(stamp, idx);
+    /// Mark a chunk dirty at `now` (write). Inserts it if absent, evicting
+    /// clean LRU chunks to make room.
+    pub fn mark_dirty(&mut self, idx: ChunkIdx, now: SimTime) {
+        let Some(&s) = self.index.get(&idx) else {
+            self.insert_new(idx, ChunkState::Dirty, now);
+            self.dirty_order.insert((now, idx), ());
+            self.dirty_chunks += 1;
+            self.evict_to_capacity(idx);
+            return;
+        };
+        self.move_to_tail(s);
+        let c = &mut self.slots[s as usize];
+        match c.state {
+            ChunkState::Clean => {
+                c.state = ChunkState::Dirty;
+                c.dirtied_at = now;
                 self.dirty_order.insert((now, idx), ());
                 self.dirty_chunks += 1;
-                evicted = self.evict_to_capacity(idx);
+            }
+            ChunkState::Dirty | ChunkState::DirtyWriteback => {}
+            ChunkState::Writeback => {
+                c.state = ChunkState::DirtyWriteback;
+                c.dirtied_at = now;
+                self.dirty_order.insert((now, idx), ());
+                self.dirty_chunks += 1;
+                self.writeback_chunks -= 1;
             }
         }
-        evicted
     }
 
     /// Take up to `max_chunks` dirty chunks, oldest first, transitioning
@@ -251,7 +310,8 @@ impl PageCache {
                 }
             }
             self.dirty_order.remove(&(dirtied_at, idx));
-            let c = self.chunks.get_mut(&idx).expect("dirty chunk must exist");
+            let s = *self.index.get(&idx).expect("dirty chunk must exist");
+            let c = &mut self.slots[s as usize];
             debug_assert!(matches!(
                 c.state,
                 ChunkState::Dirty | ChunkState::DirtyWriteback
@@ -267,7 +327,8 @@ impl PageCache {
     /// Writeback of a chunk completed. If it was re-dirtied meanwhile it
     /// stays dirty; otherwise it becomes clean (and evictable).
     pub fn writeback_done(&mut self, idx: ChunkIdx) {
-        if let Some(c) = self.chunks.get_mut(&idx) {
+        if let Some(&s) = self.index.get(&idx) {
+            let c = &mut self.slots[s as usize];
             match c.state {
                 ChunkState::Writeback => {
                     c.state = ChunkState::Clean;
@@ -293,8 +354,11 @@ impl PageCache {
     /// Drop every chunk for a teardown (no writeback; caller must have
     /// synced first if durability matters).
     pub fn clear(&mut self) {
-        self.chunks.clear();
-        self.lru.clear();
+        self.slots.clear();
+        self.index.clear();
+        self.free_head = NIL;
+        self.lru_head = NIL;
+        self.lru_tail = NIL;
         self.dirty_order.clear();
         self.dirty_chunks = 0;
         self.writeback_chunks = 0;
@@ -338,9 +402,11 @@ mod tests {
         pc.insert_clean(1);
         pc.insert_clean(2);
         pc.touch(1); // 2 is now LRU
-        let evicted = pc.insert_clean(3);
-        assert_eq!(evicted, vec![2]);
+        pc.insert_clean(3);
+        // Exactly one chunk, the LRU one, was evicted.
+        assert!(!pc.contains(2));
         assert!(pc.contains(1) && pc.contains(3));
+        assert_eq!(pc.resident_pages(), 2 * CHUNK_PAGES);
     }
 
     #[test]
@@ -348,12 +414,23 @@ mod tests {
         let mut pc = PageCache::new(2 * CHUNK_PAGES);
         pc.mark_dirty(1, t(0));
         pc.mark_dirty(2, t(1));
-        let evicted = pc.insert_clean(3);
+        pc.insert_clean(3);
         // Nothing evictable: both resident chunks are dirty; cache exceeds
         // capacity instead.
-        assert!(evicted.is_empty());
+        assert!(pc.contains(1) && pc.contains(2) && pc.contains(3));
+        assert_eq!(pc.resident_pages(), 3 * CHUNK_PAGES);
         assert!(pc.over_capacity());
         assert_eq!(pc.dirty_pages(), 2 * CHUNK_PAGES);
+    }
+
+    #[test]
+    fn freed_slots_are_reused() {
+        let mut pc = PageCache::new(2 * CHUNK_PAGES);
+        for c in 0..100 {
+            pc.insert_clean(c);
+        }
+        assert_eq!(pc.lru_order().collect::<Vec<_>>(), vec![98, 99]);
+        assert_eq!(pc.slab_slots(), 3);
     }
 
     #[test]
@@ -432,5 +509,6 @@ mod tests {
         assert_eq!(pc.resident_pages(), 0);
         assert_eq!(pc.dirty_pages(), 0);
         assert!(!pc.contains(1));
+        assert_eq!(pc.lru_order().count(), 0);
     }
 }

@@ -9,7 +9,7 @@
 //! actually congested; if not, the queue is unplugged/flushed and submission
 //! continues (`release_request`), avoiding the falsely-triggered sleep.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 
 use iorch_simcore::trace::TraceEventKind;
 use iorch_simcore::{trace_event, SimDuration, SimTime};
@@ -164,9 +164,9 @@ impl GuestQueue {
         self.merged
     }
 
-    /// Drain edge-triggered events.
-    pub fn poll_events(&mut self) -> Vec<QueueEvent> {
-        std::mem::take(&mut self.events)
+    /// Drain edge-triggered events (the queue keeps its buffer).
+    pub fn poll_events(&mut self) -> std::vec::Drain<'_, QueueEvent> {
+        self.events.drain(..)
     }
 
     /// Try to submit a request at `now`.
@@ -306,28 +306,34 @@ impl GuestQueue {
 
     /// Pop requests that should go to the frontend ring now: everything if
     /// unplugged (deadline passed, batch full, bypass, or explicit sync).
-    pub fn take_dispatchable(&mut self, now: SimTime, force_unplug: bool) -> Vec<IoRequest> {
+    /// The requests count as dispatched even if the drain is dropped
+    /// unconsumed.
+    pub fn take_dispatchable(
+        &mut self,
+        now: SimTime,
+        force_unplug: bool,
+    ) -> vec_deque::Drain<'_, IoRequest> {
         let unplug = force_unplug
             || self.bypass
             || self.queued.len() >= self.params.plug_max
             || self.plug_deadline.is_some_and(|d| now >= d);
         if !unplug {
-            return Vec::new();
+            return self.queued.drain(0..0);
         }
-        let batch: Vec<IoRequest> = self.queued.drain(..).collect();
-        if !batch.is_empty() {
+        let n = self.queued.len();
+        if n > 0 {
             trace_event!(
                 now,
                 TraceEventKind::Unplug {
                     dom: self.tag,
-                    batch: batch.len() as u32,
+                    batch: n as u32,
                     forced: force_unplug,
                 }
             );
         }
-        self.dispatched += batch.len();
+        self.dispatched += n;
         self.plug_deadline = None;
-        batch
+        self.queued.drain(..)
     }
 
     /// A dispatched request completed; frees its descriptor and may clear
@@ -389,6 +395,10 @@ mod tests {
         }
     }
 
+    fn events(q: &mut GuestQueue) -> Vec<QueueEvent> {
+        q.poll_events().collect()
+    }
+
     fn fill(q: &mut GuestQueue, n: usize, start_id: u64) {
         for i in 0..n {
             let r = req(start_id + i as u64, (start_id + i as u64) * 1_000_000);
@@ -408,12 +418,12 @@ mod tests {
     fn crossing_on_threshold_emits_event() {
         let mut q = GuestQueue::new(GuestQueueParams::default());
         fill(&mut q, 111, 0);
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
         assert_eq!(
             q.submit(req(200, 500 << 20), SimTime::ZERO),
             Submit::Accepted
         );
-        assert_eq!(q.poll_events(), vec![QueueEvent::CongestionWouldEnter]);
+        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
     }
 
     #[test]
@@ -433,7 +443,7 @@ mod tests {
         // One more completion: 103 < 104 -> uncongested.
         q.on_complete(1, SimTime::ZERO);
         assert!(!q.is_congested());
-        assert_eq!(q.poll_events(), vec![QueueEvent::Uncongested]);
+        assert_eq!(events(&mut q), vec![QueueEvent::Uncongested]);
         assert_eq!(
             q.submit(req(301, 700 << 20), SimTime::ZERO),
             Submit::Accepted
@@ -456,7 +466,7 @@ mod tests {
             );
             q.take_dispatchable(SimTime::ZERO, true);
         }
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
         assert_eq!(q.bypass_grants(), 1);
     }
 
@@ -485,19 +495,19 @@ mod tests {
     fn congestion_query_latched_until_answered() {
         let mut q = GuestQueue::new(GuestQueueParams::default());
         fill(&mut q, 112, 0);
-        assert_eq!(q.poll_events(), vec![QueueEvent::CongestionWouldEnter]);
+        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
         // Further submissions at/above the threshold must NOT re-raise the
         // query while it is unanswered (the old code duplicated it per
         // plug-batch submission).
         fill(&mut q, 3, 500);
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
         // Answering re-arms the latch...
         q.enter_congestion(SimTime::ZERO);
         q.on_complete(12, SimTime::ZERO); // 103 < 104: uncongest + re-arm
-        assert_eq!(q.poll_events(), vec![QueueEvent::Uncongested]);
+        assert_eq!(events(&mut q), vec![QueueEvent::Uncongested]);
         // ...so crossing the threshold again raises exactly one new query.
         fill(&mut q, 9, 600);
-        assert_eq!(q.poll_events(), vec![QueueEvent::CongestionWouldEnter]);
+        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
     }
 
     #[test]
@@ -509,7 +519,7 @@ mod tests {
         q.on_complete(9, SimTime::ZERO); // 103 < 104
                                          // A fresh crossing must produce a fresh query.
         fill(&mut q, 9, 700);
-        assert_eq!(q.poll_events(), vec![QueueEvent::CongestionWouldEnter]);
+        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
     }
 
     #[test]
@@ -519,14 +529,14 @@ mod tests {
         q.poll_events();
         q.grant_bypass(SimTime::ZERO);
         fill(&mut q, 30, 800); // well past the on threshold, bypassing
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
         q.revoke_bypass(SimTime::ZERO);
         assert!(!q.bypass_active());
         // Allocation (142) >= on (112): the query must be re-raised.
-        assert_eq!(q.poll_events(), vec![QueueEvent::CongestionWouldEnter]);
+        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
         // And latched: revoking again does not duplicate it.
         q.revoke_bypass(SimTime::ZERO);
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
     }
 
     #[test]
@@ -536,7 +546,7 @@ mod tests {
         q.grant_bypass(SimTime::ZERO);
         q.poll_events();
         q.revoke_bypass(SimTime::ZERO);
-        assert!(q.poll_events().is_empty());
+        assert!(events(&mut q).is_empty());
     }
 
     #[test]
@@ -553,12 +563,9 @@ mod tests {
         q.submit(req(0, 0), SimTime::ZERO);
         q.submit(req(1, 10 << 20), SimTime::ZERO);
         // Too early, not enough requests.
-        assert!(q
-            .take_dispatchable(SimTime::from_millis(1), false)
-            .is_empty());
+        assert_eq!(q.take_dispatchable(SimTime::from_millis(1), false).len(), 0);
         // Deadline (3 ms) reached.
-        let batch = q.take_dispatchable(SimTime::from_millis(3), false);
-        assert_eq!(batch.len(), 2);
+        assert_eq!(q.take_dispatchable(SimTime::from_millis(3), false).len(), 2);
         assert_eq!(q.allocated(), 2); // now dispatched
     }
 
@@ -568,8 +575,7 @@ mod tests {
         for i in 0..16 {
             q.submit(req(i, i * 1_000_000), SimTime::ZERO);
         }
-        let batch = q.take_dispatchable(SimTime::ZERO, false);
-        assert_eq!(batch.len(), 16);
+        assert_eq!(q.take_dispatchable(SimTime::ZERO, false).len(), 16);
     }
 
     #[test]
@@ -581,7 +587,7 @@ mod tests {
         r = req(2, 8192);
         q.submit(r, SimTime::ZERO);
         assert_eq!(q.merged_count(), 2);
-        let batch = q.take_dispatchable(SimTime::ZERO, true);
+        let batch: Vec<IoRequest> = q.take_dispatchable(SimTime::ZERO, true).collect();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].len, 3 * 4096);
     }

@@ -19,10 +19,11 @@ struct FileMeta {
 #[derive(Clone, Debug)]
 pub struct Vfs {
     disk_size: u64,
-    files: BTreeMap<FileId, FileMeta>,
+    /// Live files indexed by id (ids are dense and never reused, so
+    /// lookup is one bounds-checked index); `None` marks a deleted file.
+    files: Vec<Option<FileMeta>>,
     // Free extents keyed by start offset -> length; coalesced on free.
     free: BTreeMap<u64, u64>,
-    next_id: u64,
 }
 
 /// Errors from file operations.
@@ -45,9 +46,8 @@ impl Vfs {
         }
         Vfs {
             disk_size,
-            files: BTreeMap::new(),
+            files: Vec::new(),
             free,
-            next_id: 0,
         }
     }
 
@@ -58,12 +58,12 @@ impl Vfs {
 
     /// Number of live files.
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.files.iter().flatten().count()
     }
 
     /// Total bytes allocated to files.
     pub fn used_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.size).sum()
+        self.files.iter().flatten().map(|f| f.size).sum()
     }
 
     /// Create a file of `size` bytes (first-fit).
@@ -79,16 +79,19 @@ impl Vfs {
         if len > size {
             self.free.insert(start + size, len - size);
         }
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(id, FileMeta { start, size });
+        let id = FileId(self.files.len() as u64);
+        self.files.push(Some(FileMeta { start, size }));
         Ok(id)
     }
 
     /// Delete a file, returning its extent to the free list (coalescing
     /// with neighbours).
     pub fn delete(&mut self, id: FileId) -> Result<(), VfsError> {
-        let meta = self.files.remove(&id).ok_or(VfsError::NotFound)?;
+        let meta = self
+            .files
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(VfsError::NotFound)?;
         let mut start = meta.start;
         let mut len = meta.size;
         // Coalesce with the previous free extent if adjacent.
@@ -112,15 +115,19 @@ impl Vfs {
 
     /// File size in bytes.
     pub fn size_of(&self, id: FileId) -> Result<u64, VfsError> {
+        self.meta(id).map(|m| m.size)
+    }
+
+    fn meta(&self, id: FileId) -> Result<&FileMeta, VfsError> {
         self.files
-            .get(&id)
-            .map(|m| m.size)
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
             .ok_or(VfsError::NotFound)
     }
 
     /// Translate a file-relative range to a virtual-disk byte offset.
     pub fn translate(&self, id: FileId, offset: u64, len: u64) -> Result<u64, VfsError> {
-        let meta = self.files.get(&id).ok_or(VfsError::NotFound)?;
+        let meta = self.meta(id)?;
         if offset + len > meta.size {
             return Err(VfsError::OutOfBounds);
         }

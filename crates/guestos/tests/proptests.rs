@@ -4,7 +4,7 @@
 //! seed sweep — no external property-test crate.
 
 use iorch_guestos::{
-    coalesce_chunks, congestion_off_threshold, congestion_on_threshold, GuestQueue,
+    coalesce_chunks, congestion_off_threshold, congestion_on_threshold, ChunkIdx, GuestQueue,
     GuestQueueParams, PageCache, Submit, Vfs, CHUNK_PAGES,
 };
 use iorch_simcore::{gen, SimTime};
@@ -67,6 +67,224 @@ fn dirty_batch_oldest_first() {
     });
 }
 
+/// Chunk states of the naive page-cache reference below.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum RefState {
+    Clean,
+    Dirty,
+    Writeback,
+    DirtyWriteback,
+}
+
+/// Naive page cache: a `Vec` in LRU order (front = least recently used)
+/// and an unordered list of `(dirtied_at, chunk)` dirty entries. Every
+/// operation is a linear scan, so it is obviously right and slow.
+struct RefCache {
+    capacity_chunks: usize,
+    lru: Vec<(ChunkIdx, RefState)>,
+    dirty: Vec<(SimTime, ChunkIdx)>,
+    /// Most chunks ever resident at once (counted before eviction).
+    peak: usize,
+    evictions: usize,
+}
+
+impl RefCache {
+    fn new(capacity_chunks: usize) -> Self {
+        RefCache {
+            capacity_chunks,
+            lru: Vec::new(),
+            dirty: Vec::new(),
+            peak: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Move the chunk at `pos` to the MRU end; returns its new position.
+    fn move_to_mru(&mut self, pos: usize) -> usize {
+        let e = self.lru.remove(pos);
+        self.lru.push(e);
+        self.lru.len() - 1
+    }
+
+    fn position(&self, idx: ChunkIdx) -> Option<usize> {
+        self.lru.iter().position(|&(c, _)| c == idx)
+    }
+
+    fn push_new(&mut self, idx: ChunkIdx, state: RefState) {
+        self.lru.push((idx, state));
+        self.peak = self.peak.max(self.lru.len());
+        while self.lru.len() > self.capacity_chunks {
+            let victim = self
+                .lru
+                .iter()
+                .position(|&(c, st)| c != idx && st == RefState::Clean);
+            let Some(v) = victim else { break };
+            self.lru.remove(v);
+            self.evictions += 1;
+        }
+    }
+
+    fn touch(&mut self, idx: ChunkIdx) {
+        if let Some(p) = self.position(idx) {
+            self.move_to_mru(p);
+        }
+    }
+
+    fn insert_clean(&mut self, idx: ChunkIdx) {
+        match self.position(idx) {
+            Some(p) => {
+                self.move_to_mru(p);
+            }
+            None => self.push_new(idx, RefState::Clean),
+        }
+    }
+
+    fn mark_dirty(&mut self, idx: ChunkIdx, now: SimTime) {
+        let Some(p) = self.position(idx) else {
+            self.dirty.push((now, idx));
+            self.push_new(idx, RefState::Dirty);
+            return;
+        };
+        let p = self.move_to_mru(p);
+        let st = &mut self.lru[p].1;
+        match *st {
+            RefState::Clean => *st = RefState::Dirty,
+            RefState::Writeback => *st = RefState::DirtyWriteback,
+            RefState::Dirty | RefState::DirtyWriteback => return,
+        }
+        self.dirty.push((now, idx));
+    }
+
+    fn take_dirty_batch(&mut self, max: usize, expired_before: Option<SimTime>) -> Vec<ChunkIdx> {
+        let mut taken = Vec::new();
+        while taken.len() < max {
+            let Some((i, &(at, idx))) = self.dirty.iter().enumerate().min_by_key(|(_, e)| **e)
+            else {
+                break;
+            };
+            if expired_before.is_some_and(|limit| at >= limit) {
+                break;
+            }
+            self.dirty.remove(i);
+            let p = self.position(idx).expect("dirty chunk resident");
+            self.lru[p].1 = RefState::Writeback;
+            taken.push(idx);
+        }
+        taken
+    }
+
+    fn writeback_done(&mut self, idx: ChunkIdx) {
+        if let Some(p) = self.position(idx) {
+            let st = &mut self.lru[p].1;
+            *st = match *st {
+                RefState::Writeback => RefState::Clean,
+                RefState::DirtyWriteback => RefState::Dirty,
+                other => other,
+            };
+        }
+    }
+
+    fn count(&self, states: &[RefState]) -> u64 {
+        self.lru
+            .iter()
+            .filter(|(_, st)| states.contains(st))
+            .count() as u64
+    }
+}
+
+/// Differential oracle for the slab/intrusive-LRU page cache: small
+/// caches (2–32 chunks, so eviction runs constantly) driven by a random
+/// mix of every mutating operation must match the naive reference after
+/// every step — full LRU order (hence residency and future victim order),
+/// dirty/writeback counts, oldest dirty age and every writeback batch —
+/// and the slab must never hold more slots than the peak resident count.
+#[test]
+fn page_cache_matches_naive_reference() {
+    let mut evictions = 0;
+    gen::for_each_seed(0x60_0007, CASES, |seed, rng| {
+        let cap = rng.range(2, 32) as usize;
+        let keys = 3 * cap as u64;
+        let mut pc = PageCache::new(cap as u64 * CHUNK_PAGES);
+        let mut reference = RefCache::new(cap);
+        let mut inflight: Vec<ChunkIdx> = Vec::new();
+        for step in 0..600u64 {
+            // Two steps per millisecond: dirty-order ties break on chunk.
+            let now = SimTime::from_millis(step / 2);
+            let chunk = rng.below(keys);
+            match rng.below(12) {
+                0..=2 => {
+                    pc.insert_clean(chunk);
+                    reference.insert_clean(chunk);
+                }
+                3..=4 => {
+                    pc.touch(chunk);
+                    reference.touch(chunk);
+                }
+                5..=7 => {
+                    pc.mark_dirty(chunk, now);
+                    reference.mark_dirty(chunk, now);
+                }
+                8 | 9 => {
+                    let max = rng.range(1, 2 * cap as u64) as usize;
+                    let expired = rng
+                        .chance(0.5)
+                        .then(|| SimTime::from_millis(rng.below(step / 2 + 2)));
+                    let batch = pc.take_dirty_batch(max, expired);
+                    assert_eq!(
+                        batch,
+                        reference.take_dirty_batch(max, expired),
+                        "batch, step {step} (seed {seed})"
+                    );
+                    inflight.extend(batch);
+                }
+                _ => {
+                    // Mostly a real in-flight chunk, sometimes any chunk
+                    // (a no-op unless it happens to be in writeback).
+                    let c = if !inflight.is_empty() && rng.chance(0.8) {
+                        inflight.swap_remove(rng.below(inflight.len() as u64) as usize)
+                    } else {
+                        chunk
+                    };
+                    pc.writeback_done(c);
+                    reference.writeback_done(c);
+                }
+            }
+            let order: Vec<ChunkIdx> = reference.lru.iter().map(|&(c, _)| c).collect();
+            assert_eq!(
+                pc.lru_order().collect::<Vec<_>>(),
+                order,
+                "LRU order, step {step} (seed {seed})"
+            );
+            assert_eq!(pc.resident_pages(), order.len() as u64 * CHUNK_PAGES);
+            assert_eq!(pc.contains(chunk), order.contains(&chunk));
+            assert_eq!(
+                pc.dirty_pages(),
+                reference.count(&[RefState::Dirty, RefState::DirtyWriteback]) * CHUNK_PAGES,
+                "dirty pages, step {step} (seed {seed})"
+            );
+            assert_eq!(
+                pc.writeback_pages(),
+                reference.count(&[RefState::Writeback]) * CHUNK_PAGES,
+                "writeback pages, step {step} (seed {seed})"
+            );
+            let oldest = reference.dirty.iter().min().map(|&(at, _)| at);
+            assert_eq!(
+                pc.oldest_dirty_age(now),
+                oldest.map(|at| now.saturating_since(at)),
+                "oldest dirty age, step {step} (seed {seed})"
+            );
+            assert!(
+                pc.slab_slots() <= reference.peak,
+                "slab {} slots > peak {} resident, step {step} (seed {seed})",
+                pc.slab_slots(),
+                reference.peak
+            );
+        }
+        evictions += reference.evictions;
+    });
+    assert!(evictions > 1000, "only {evictions} evictions exercised");
+}
+
 /// Congestion hysteresis: the flag can only be on when allocation ever
 /// crossed 7/8, and it always clears below 13/16.
 #[test]
@@ -99,7 +317,7 @@ fn congestion_hysteresis() {
                     q.take_dispatchable(SimTime::ZERO, true);
                 }
             }
-            for ev in q.poll_events() {
+            for ev in q.poll_events().collect::<Vec<_>>() {
                 if ev == iorch_guestos::QueueEvent::CongestionWouldEnter {
                     q.enter_congestion(SimTime::ZERO);
                 }

@@ -15,7 +15,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use iorch_guestos::{CompletedOp, FileOp, GuestConfig, GuestKernel, KernelSignal, OpClass, OpId};
+use iorch_guestos::{
+    CompletedOp, FileOp, GuestConfig, GuestKernel, KernelOutputs, KernelSignal, OpClass, OpId,
+};
 use iorch_metrics::LatencyHistogram;
 use iorch_simcore::trace::TraceEventKind;
 use iorch_simcore::{trace_event, FaultPlan, Scheduler, SimDuration, SimRng, SimTime};
@@ -33,6 +35,15 @@ pub type Sched = Scheduler<Cluster>;
 
 /// Continuation invoked when a file operation completes.
 pub type OpWaiter = Box<dyn FnOnce(&mut Cluster, &mut Sched, OpResult)>;
+
+/// An op [`Cluster::submit_op`] has just started, handed to output
+/// processing so a synchronous completion never touches the pending-op
+/// maps.
+struct StartedOp {
+    op: OpId,
+    vcpu: u32,
+    waiter: Option<OpWaiter>,
+}
 
 /// Continuation invoked when a CPU work item finishes.
 pub type CpuWaiter = Box<dyn FnOnce(&mut Cluster, &mut Sched)>;
@@ -258,6 +269,10 @@ pub struct Machine {
     device_event_at: SimTime,
     pending_signals: Vec<(DomainId, KernelSignal)>,
     pending_results: Vec<(OpResult, Option<OpWaiter>)>,
+    /// Drained kernel-output buffers, swapped with a kernel's outputs by
+    /// `process_domain_outputs` and handed back empty (see
+    /// [`GuestKernel::swap_outputs`]).
+    out_spare: KernelOutputs,
     io_hist: BTreeMap<DomainId, LatencyHistogram>,
     io_bytes: BTreeMap<DomainId, u64>,
     ops_completed: BTreeMap<DomainId, u64>,
@@ -582,7 +597,7 @@ impl Cluster {
                 }
             );
             d.kernel.on_block_complete(req.id, now);
-            m.process_domain_outputs(s, dom);
+            m.process_domain_outputs(s, dom, None);
             m.dispatch_signals(s);
         }
         Cluster::drain_results(cl, idx, s);
@@ -596,7 +611,7 @@ impl Cluster {
         };
         d.timer_at = SimTime::MAX;
         d.kernel.on_timer(now);
-        m.process_domain_outputs(s, dom);
+        m.process_domain_outputs(s, dom, None);
         m.dispatch_signals(s);
         m.ensure_timer(s, dom);
         Cluster::drain_results(cl, idx, s);
@@ -709,6 +724,7 @@ impl Machine {
             device_event_at: SimTime::MAX,
             pending_signals: Vec::new(),
             pending_results: Vec::new(),
+            out_spare: KernelOutputs::default(),
             io_hist: BTreeMap::new(),
             io_bytes: BTreeMap::new(),
             ops_completed: BTreeMap::new(),
@@ -926,28 +942,42 @@ impl Machine {
         let Some(d) = self.domains.get_mut(&dom) else {
             return;
         };
-        let op_id = d.kernel.start_op(op, s.now());
-        d.op_vcpu.insert(op_id, vcpu);
-        if let Some(w) = waiter {
-            d.op_waiters.insert(op_id, w);
-        }
-        self.process_domain_outputs(s, dom);
+        let op = d.kernel.start_op(op, s.now());
+        self.process_domain_outputs(s, dom, Some(StartedOp { op, vcpu, waiter }));
         self.dispatch_signals(s);
     }
 
     /// Process a guest kernel's accumulated outputs: route ring requests,
-    /// queue op results, collect signals.
-    fn process_domain_outputs(&mut self, s: &mut Sched, dom: DomainId) {
+    /// queue op results, collect signals. `started` is the op the caller
+    /// has just started: if it already completed (a cache hit) its waiter
+    /// is queued directly, otherwise it is registered as pending before
+    /// its ring requests are routed by issuing VCPU.
+    fn process_domain_outputs(
+        &mut self,
+        s: &mut Sched,
+        dom: DomainId,
+        mut started: Option<StartedOp>,
+    ) {
         let now = s.now();
         let idx = self.idx;
         let Some(d) = self.domains.get_mut(&dom) else {
             return;
         };
-        let out = d.kernel.take_outputs();
+        let mut out = std::mem::take(&mut self.out_spare);
+        d.kernel.swap_outputs(&mut out);
         // Completed ops -> queued results (invoked at cluster level).
-        for CompletedOp { op, started, class } in out.completed {
-            d.op_vcpu.remove(&op);
-            let waiter = d.op_waiters.remove(&op);
+        for CompletedOp {
+            op,
+            started: at,
+            class,
+        } in out.completed.drain(..)
+        {
+            let waiter = if started.as_ref().is_some_and(|st| st.op == op) {
+                started.take().and_then(|st| st.waiter)
+            } else {
+                d.op_vcpu.remove(&op);
+                d.op_waiters.remove(&op)
+            };
             *self.ops_completed.entry(dom).or_insert(0) += 1;
             self.pending_results.push((
                 OpResult {
@@ -955,21 +985,25 @@ impl Machine {
                     dom,
                     op,
                     class,
-                    started,
+                    started: at,
                     finished: now,
                 },
                 waiter,
             ));
         }
-        // Signals -> dispatched to the control plane at a safe point.
-        for sig in out.signals {
-            self.pending_signals.push((dom, sig));
+        if let Some(st) = started {
+            d.op_vcpu.insert(st.op, st.vcpu);
+            if let Some(w) = st.waiter {
+                d.op_waiters.insert(st.op, w);
+            }
         }
+        // Signals -> dispatched to the control plane at a safe point.
+        self.pending_signals
+            .extend(out.signals.drain(..).map(|sig| (dom, sig)));
         // Ring requests -> backend path.
         if !out.to_ring.is_empty() {
-            let d = self.domains.get_mut(&dom).unwrap();
             let mut routed: Vec<(IoRequest, u32)> = Vec::with_capacity(out.to_ring.len());
-            for mut req in out.to_ring {
+            for mut req in out.to_ring.drain(..) {
                 let vcpu = d
                     .kernel
                     .op_of_request(req.id)
@@ -988,7 +1022,6 @@ impl Machine {
             match self.cfg.io_mode {
                 IoPathMode::Paravirt => {
                     let timing = self.cfg.timing;
-                    let d = self.domains.get_mut(&dom).unwrap();
                     for (req, _vcpu) in routed {
                         match d.ring.push(req, now) {
                             RingPush::NeedDoorbell => {
@@ -1012,6 +1045,7 @@ impl Machine {
                 }
             }
         }
+        self.out_spare = out;
         self.ensure_timer(s, dom);
     }
 
@@ -1225,7 +1259,7 @@ impl Machine {
     pub fn cp_grant_bypass(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some(d) = self.domains.get_mut(&dom) {
             d.kernel.grant_bypass(s.now());
-            self.process_domain_outputs(s, dom);
+            self.process_domain_outputs(s, dom, None);
         }
     }
 
@@ -1234,7 +1268,7 @@ impl Machine {
     pub fn cp_revoke_bypass(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some(d) = self.domains.get_mut(&dom) {
             d.kernel.revoke_bypass(s.now());
-            self.process_domain_outputs(s, dom);
+            self.process_domain_outputs(s, dom, None);
         }
     }
 
@@ -1242,7 +1276,7 @@ impl Machine {
     pub fn cp_remote_sync(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some(d) = self.domains.get_mut(&dom) {
             d.kernel.remote_sync(s.now());
-            self.process_domain_outputs(s, dom);
+            self.process_domain_outputs(s, dom, None);
         }
     }
 
@@ -1637,5 +1671,90 @@ mod tests {
             IoPathMode::DedicatedCores { per_socket: false },
         ));
         assert_eq!(cluster.machine(sdc).iocores.len(), 1);
+    }
+
+    /// Cache-hit ops complete inline: each waiter fires exactly once,
+    /// inside `submit_op`, and no pending-op entry is left behind. Read
+    /// misses still register as pending and are routed by the issuing
+    /// VCPU, so I/O-core attribution follows the VCPU's socket.
+    #[test]
+    fn inline_completions_fire_once_and_misses_route_by_vcpu() {
+        const HITS: usize = 64;
+        let (mut sim, idx) = sim_with(IoPathMode::DedicatedCores { per_socket: true });
+        let (cl, s) = sim.parts_mut();
+        // Eight VCPUs do not fit on one socket's five free cores.
+        let dom = cl.create_domain(s, idx, VmSpec::new(8, 4), |_| {});
+        let file = cl.machines[idx]
+            .kernel_mut(dom)
+            .unwrap()
+            .create_file(100 << 20)
+            .unwrap();
+        let warm = one_read(&mut sim, idx, dom, file, 0);
+        sim.run_until(SimTime::from_millis(100));
+        assert!(warm.borrow().is_some());
+
+        let fired = Rc::new(RefCell::new(vec![0u32; HITS]));
+        let (cl, s) = sim.parts_mut();
+        for i in 0..HITS {
+            let f = Rc::clone(&fired);
+            cl.submit_op(
+                s,
+                idx,
+                dom,
+                (i % 8) as u32,
+                FileOp::Read {
+                    file,
+                    offset: 0,
+                    len: 65536,
+                },
+                Some(Box::new(move |_, _, _| f.borrow_mut()[i] += 1)),
+            );
+            assert_eq!(fired.borrow()[i], 1, "hit {i} must complete inline");
+        }
+        assert!(fired.borrow().iter().all(|&n| n == 1));
+        let d = &cl.machines[idx].domains[&dom];
+        assert!(d.op_vcpu.is_empty() && d.op_waiters.is_empty());
+
+        let m = &cl.machines[idx];
+        let (sock0, sock7) = (d.vcpu_socket(&m.topology, 0), d.vcpu_socket(&m.topology, 7));
+        assert_ne!(sock0, sock7, "VCPUs 0 and 7 must sit on different sockets");
+        for (k, socket, offset) in [(0u32, sock0, 10u64 << 20), (7, sock7, 20 << 20)] {
+            let processed = |sim: &Simulation<Cluster>| -> Vec<(usize, u64)> {
+                let m = sim.world().machine(idx);
+                m.iocores
+                    .iter()
+                    .map(|c| (c.socket(), c.processed_count()))
+                    .collect()
+            };
+            let before = processed(&sim);
+            let done = Rc::new(RefCell::new(0u32));
+            let d2 = Rc::clone(&done);
+            let (cl, s) = sim.parts_mut();
+            cl.submit_op(
+                s,
+                idx,
+                dom,
+                k,
+                FileOp::Read {
+                    file,
+                    offset,
+                    len: 65536,
+                },
+                Some(Box::new(move |_, _, _| *d2.borrow_mut() += 1)),
+            );
+            let d = &cl.machines[idx].domains[&dom];
+            assert_eq!(*done.borrow(), 0, "a miss must not complete inline");
+            assert_eq!(d.op_vcpu.values().copied().collect::<Vec<_>>(), vec![k]);
+            assert_eq!(d.op_waiters.len(), 1);
+            let until = sim.now() + SimDuration::from_millis(100);
+            sim.run_until(until);
+            assert_eq!(*done.borrow(), 1);
+            for ((sk, after), (_, before)) in processed(&sim).into_iter().zip(before) {
+                let want = u64::from(sk == socket);
+                assert_eq!(after - before, want, "VCPU {k}: I/O core on socket {sk}");
+            }
+            let d = &sim.world().machine(idx).domains[&dom];
+            assert!(d.op_vcpu.is_empty() && d.op_waiters.is_empty());
+        }
     }
 }

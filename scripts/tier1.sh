@@ -12,6 +12,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline
 cargo test -q --offline --workspace
 
+# The end-to-end benchmark is a separate cargo package built on the
+# simulator's public API; its self-tests run here so an API change that
+# breaks it fails tier 1 rather than the benchmark pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # The convergence oracle (crash the control plane at every tick boundary
 # of every fault scenario) is too heavy for the debug suite; its tests
 # are #[ignore]d there and run here in release.
