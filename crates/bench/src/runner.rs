@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use iorch_hypervisor::{Cluster, VmSpec};
+use iorch_hypervisor::{Cluster, VmSpec, Waiter};
 use iorch_metrics::LatencyHistogram;
 use iorch_netsim::{NetParams, Network, NodeId};
 use iorch_simcore::{SimDuration, SimTime, Simulation};
@@ -175,7 +175,7 @@ pub fn motivation_run(collaborative: bool, cfg: RunCfg) -> MotivationOut {
                         offset,
                         len: 64 << 10,
                     },
-                    Some(Box::new(move |_, s, _| {
+                    Some(Waiter::from_fn(move |_, s, _| {
                         let now = s.now();
                         r3.borrow_mut()
                             .record(now, now.saturating_since(started), 64 << 10);

@@ -1601,7 +1601,7 @@ mod tests {
             usize,
             usize,
             [usize; 5],
-            [usize; 5],
+            [usize; 2],
             usize,
             Vec<[usize; 4]>,
             [usize; 6],

@@ -13,10 +13,9 @@
 use std::collections::VecDeque;
 
 use iorch_simcore::trace::TraceEventKind;
-use iorch_simcore::{trace_event, SimTime};
+use iorch_simcore::{trace_event, IdMap, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};
 
-use crate::idmap::IdMap;
 use crate::pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
 use crate::queue::{GuestQueue, GuestQueueParams, QueueEvent, Submit};
 use crate::vfs::{FileId, Vfs, VfsError};
@@ -137,19 +136,39 @@ impl GuestConfig {
     }
 }
 
-#[derive(Clone, Debug)]
+/// A contiguous run of chunks: `(first, count)`.
+type ChunkRun = (ChunkIdx, u64);
+
+/// Why a block request was issued. Each request covers one contiguous
+/// chunk run.
+#[derive(Clone, Copy, Debug)]
 enum ReqOwner {
-    /// Read filling these missing chunks for an op.
-    OpRead { op: OpId, chunks: Vec<ChunkIdx> },
-    /// Prefetch filling these chunks; nobody waits.
-    Readahead { chunks: Vec<ChunkIdx> },
-    /// Writeback of these chunks; `sync_op` waits if it was a sync() op,
+    /// Read filling this missing run for an op.
+    OpRead { op: OpId, run: ChunkRun },
+    /// Prefetch filling this run; nobody waits.
+    Readahead { run: ChunkRun },
+    /// Writeback of this run; `sync_op` waits if it was a sync() op,
     /// `remote` marks IOrchestra `flush_now` work.
     Writeback {
-        chunks: Vec<ChunkIdx>,
+        run: ChunkRun,
         sync_op: Option<OpId>,
         remote: bool,
     },
+}
+
+impl ReqOwner {
+    fn run(&self) -> ChunkRun {
+        match *self {
+            ReqOwner::OpRead { run, .. }
+            | ReqOwner::Readahead { run }
+            | ReqOwner::Writeback { run, .. } => run,
+        }
+    }
+}
+
+/// The chunks of a run.
+fn run_chunks((first, count): ChunkRun) -> std::ops::Range<ChunkIdx> {
+    first..first + count
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -159,7 +178,7 @@ struct OpState {
     class: OpClass,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct PendingSubmit {
     req: IoRequest,
     owner: ReqOwner,
@@ -225,7 +244,6 @@ pub struct GuestKernel {
     owners: IdMap<RequestId, ReqOwner>,
     blocked: VecDeque<PendingSubmit>,
     throttled: VecDeque<(OpId, SimTime)>,
-    last_read_pos: IdMap<FileId, u64>,
     remote_sync_inflight: usize,
     /// Set when a synchronous submitter (read / sync) is about to block —
     /// Linux flushes the plug list on `io_schedule`, so these requests
@@ -267,7 +285,6 @@ impl GuestKernel {
             owners: IdMap::default(),
             blocked: VecDeque::new(),
             throttled: VecDeque::new(),
-            last_read_pos: IdMap::default(),
             remote_sync_inflight: 0,
             unplug_now: false,
             blocked_wake_at: None,
@@ -468,8 +485,8 @@ impl GuestKernel {
     fn start_read(&mut self, file: FileId, offset: u64, len: u64, now: SimTime) -> OpId {
         self.stats.reads += 1;
         let len = len.max(1);
-        let disk_off = match self.vfs.translate(file, offset, len) {
-            Ok(o) => o,
+        let (disk_off, sequential) = match self.vfs.translate_read(file, offset, len) {
+            Ok(r) => r,
             Err(_) => {
                 debug_assert!(false, "read out of bounds");
                 return self.alloc_op(now, OpClass::Read, 0);
@@ -478,8 +495,7 @@ impl GuestKernel {
         // Partition the range into cached and missing chunks.
         let mut missing: Vec<ChunkIdx> = Vec::new();
         for c in chunks_of(disk_off, len) {
-            if self.cache.contains(c) {
-                self.cache.touch(c);
+            if self.cache.touch(c) {
                 self.stats.cache_hit_chunks += 1;
             } else {
                 self.stats.cache_miss_chunks += 1;
@@ -487,8 +503,6 @@ impl GuestKernel {
             }
         }
         // Sequential readahead.
-        let sequential = self.last_read_pos.get(&file).copied() == Some(offset);
-        self.last_read_pos.insert(file, offset + len);
         // Linux aborts readahead when the device looks congested; under a
         // collaborative bypass the host has said it is not, so the
         // prefetch pipeline is kept alive.
@@ -519,20 +533,10 @@ impl GuestKernel {
         }
         let op = self.alloc_op(now, OpClass::Read, runs.len());
         for run in runs {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
-            self.submit_block(
-                IoKind::Read,
-                off,
-                rlen,
-                ReqOwner::OpRead { op, chunks },
-                now,
-            );
+            self.submit_block(IoKind::Read, ReqOwner::OpRead { op, run }, now);
         }
         for run in coalesce_chunks(ra_chunks, 8) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
-            self.submit_block(IoKind::Read, off, rlen, ReqOwner::Readahead { chunks }, now);
+            self.submit_block(IoKind::Read, ReqOwner::Readahead { run }, now);
         }
         op
     }
@@ -588,19 +592,12 @@ impl GuestKernel {
         }
         let op = self.alloc_op(now, OpClass::Sync, runs.len());
         for run in runs {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
-            self.submit_block(
-                IoKind::Write,
-                off,
-                rlen,
-                ReqOwner::Writeback {
-                    chunks,
-                    sync_op: Some(op),
-                    remote: false,
-                },
-                now,
-            );
+            let owner = ReqOwner::Writeback {
+                run,
+                sync_op: Some(op),
+                remote: false,
+            };
+            self.submit_block(IoKind::Write, owner, now);
         }
         op
     }
@@ -629,20 +626,13 @@ impl GuestKernel {
         );
         self.unplug_now = true;
         for run in coalesce_chunks(taken, 16) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
             self.remote_sync_inflight += 1;
-            self.submit_block(
-                IoKind::Write,
-                off,
-                rlen,
-                ReqOwner::Writeback {
-                    chunks,
-                    sync_op: None,
-                    remote: true,
-                },
-                now,
-            );
+            let owner = ReqOwner::Writeback {
+                run,
+                sync_op: None,
+                remote: true,
+            };
+            self.submit_block(IoKind::Write, owner, now);
         }
         self.housekeeping(now);
     }
@@ -665,26 +655,21 @@ impl GuestKernel {
             );
         }
         for run in coalesce_chunks(chunks, 16) {
-            let (off, rlen) = run_to_bytes(run);
-            let chunks: Vec<ChunkIdx> = (run.0..run.0 + run.1).collect();
             if remote {
                 self.remote_sync_inflight += 1;
             }
-            self.submit_block(
-                IoKind::Write,
-                off,
-                rlen,
-                ReqOwner::Writeback {
-                    chunks,
-                    sync_op,
-                    remote,
-                },
-                now,
-            );
+            let owner = ReqOwner::Writeback {
+                run,
+                sync_op,
+                remote,
+            };
+            self.submit_block(IoKind::Write, owner, now);
         }
     }
 
-    fn submit_block(&mut self, kind: IoKind, offset: u64, len: u64, owner: ReqOwner, now: SimTime) {
+    /// Queue one block request covering `owner`'s chunk run.
+    fn submit_block(&mut self, kind: IoKind, owner: ReqOwner, now: SimTime) {
+        let (offset, len) = run_to_bytes(owner.run());
         let req = IoRequest {
             id: self.ids.alloc(),
             kind,
@@ -711,23 +696,23 @@ impl GuestKernel {
         self.queue.on_complete(1, now);
         if let Some(owner) = self.owners.remove(&id) {
             match owner {
-                ReqOwner::OpRead { op, chunks } => {
-                    for c in chunks {
+                ReqOwner::OpRead { op, run } => {
+                    for c in run_chunks(run) {
                         self.cache.insert_clean(c);
                     }
                     self.op_progress(op, 1);
                 }
-                ReqOwner::Readahead { chunks } => {
-                    for c in chunks {
+                ReqOwner::Readahead { run } => {
+                    for c in run_chunks(run) {
                         self.cache.insert_clean(c);
                     }
                 }
                 ReqOwner::Writeback {
-                    chunks,
+                    run,
                     sync_op,
                     remote,
                 } => {
-                    for c in chunks {
+                    for c in run_chunks(run) {
                         self.wb.on_chunk_done(&mut self.cache, c);
                     }
                     if let Some(op) = sync_op {

@@ -18,7 +18,6 @@
 
 #![warn(missing_docs)]
 
-mod idmap;
 mod kernel;
 mod pagecache;
 mod queue;

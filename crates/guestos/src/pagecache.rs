@@ -8,14 +8,13 @@
 //! Resident chunks live in a slab of slots linked into an intrusive LRU
 //! list (head = least recently used, tail = most recently used); freed
 //! slots are reused through a free list threaded through the same links.
-//! A cache hit is one hash lookup plus a relink to the tail: no heap
+//! A two-level [`ChunkTable`] maps a chunk index to its slot. A cache hit
+//! is two indexed loads plus a relink to the tail: no hash, no heap
 //! allocation and no tree rebalance.
 
 use std::collections::BTreeMap;
 
 use iorch_simcore::SimTime;
-
-use crate::idmap::IdMap;
 
 /// Bytes per page (x86 default).
 pub const PAGE_SIZE: u64 = 4096;
@@ -62,12 +61,61 @@ struct Slot {
     next: u32,
 }
 
+/// Chunks per [`ChunkTable`] leaf: one leaf maps 32 MiB of virtual disk.
+const LEAF_BITS: u32 = 9;
+const LEAF_LEN: usize = 1 << LEAF_BITS;
+
+/// Chunk index -> slab slot, as a two-level direct table. The top level
+/// holds one entry per 32 MiB of virtual disk; a leaf is allocated on
+/// the first insert into its region, so memory follows the disk regions
+/// a guest touches, not the disk size. Unmapped entries hold `NIL`.
+#[derive(Clone, Debug, Default)]
+struct ChunkTable {
+    leaves: Vec<Option<Box<[u32; LEAF_LEN]>>>,
+    len: usize,
+}
+
+impl ChunkTable {
+    fn split(idx: ChunkIdx) -> (usize, usize) {
+        ((idx >> LEAF_BITS) as usize, (idx as usize) & (LEAF_LEN - 1))
+    }
+
+    fn get(&self, idx: ChunkIdx) -> Option<u32> {
+        let (leaf, at) = Self::split(idx);
+        match self.leaves.get(leaf)?.as_ref()?[at] {
+            NIL => None,
+            s => Some(s),
+        }
+    }
+
+    /// Map an absent chunk to slot `s`.
+    fn insert(&mut self, idx: ChunkIdx, s: u32) {
+        let (leaf, at) = Self::split(idx);
+        if leaf >= self.leaves.len() {
+            self.leaves.resize(leaf + 1, None);
+        }
+        let entry = &mut self.leaves[leaf].get_or_insert_with(|| Box::new([NIL; LEAF_LEN]))[at];
+        debug_assert_eq!(*entry, NIL, "chunk {idx} already mapped");
+        *entry = s;
+        self.len += 1;
+    }
+
+    /// Unmap a present chunk.
+    fn remove(&mut self, idx: ChunkIdx) {
+        let (leaf, at) = Self::split(idx);
+        let entry = &mut self.leaves[leaf].as_mut().expect("chunk must be mapped")[at];
+        debug_assert_ne!(*entry, NIL, "chunk {idx} not mapped");
+        *entry = NIL;
+        self.len -= 1;
+    }
+}
+
 /// LRU page cache with dirty tracking at chunk granularity.
 #[derive(Clone, Debug)]
 pub struct PageCache {
     capacity_pages: u64,
     slots: Vec<Slot>,
-    index: IdMap<ChunkIdx, u32>,
+    index: ChunkTable,
     free_head: u32,
     lru_head: u32,
     lru_tail: u32,
@@ -86,7 +134,7 @@ impl PageCache {
         PageCache {
             capacity_pages,
             slots: Vec::new(),
-            index: IdMap::default(),
+            index: ChunkTable::default(),
             free_head: NIL,
             lru_head: NIL,
             lru_tail: NIL,
@@ -155,19 +203,24 @@ impl PageCache {
 
     /// Whether a chunk is resident (hit).
     pub fn contains(&self, idx: ChunkIdx) -> bool {
-        self.index.contains_key(&idx)
+        self.index.get(idx).is_some()
     }
 
-    /// Record a read hit, refreshing LRU position.
-    pub fn touch(&mut self, idx: ChunkIdx) {
-        if let Some(&s) = self.index.get(&idx) {
-            self.move_to_tail(s);
+    /// Look a chunk up for a read: on a hit, refresh its LRU position and
+    /// return `true`; on a miss, change nothing and return `false`.
+    pub fn touch(&mut self, idx: ChunkIdx) -> bool {
+        match self.index.get(idx) {
+            Some(s) => {
+                self.move_to_tail(s);
+                true
+            }
+            None => false,
         }
     }
 
     /// Total resident pages.
     pub fn resident_pages(&self) -> u64 {
-        self.index.len() as u64 * CHUNK_PAGES
+        self.index.len as u64 * CHUNK_PAGES
     }
 
     /// Resident chunks from least to most recently used (the order in
@@ -223,8 +276,7 @@ impl PageCache {
     /// Insert a chunk as clean (read miss fill). Evicts clean LRU chunks to
     /// stay within capacity; dirty/writeback chunks are never evicted.
     pub fn insert_clean(&mut self, idx: ChunkIdx) {
-        if let Some(&s) = self.index.get(&idx) {
-            self.move_to_tail(s);
+        if self.touch(idx) {
             return;
         }
         self.insert_new(idx, ChunkState::Clean, SimTime::ZERO);
@@ -254,7 +306,7 @@ impl PageCache {
             let victim = cursor;
             cursor = self.slots[victim as usize].next;
             self.unlink(victim);
-            self.index.remove(&self.slots[victim as usize].idx);
+            self.index.remove(self.slots[victim as usize].idx);
             self.slots[victim as usize].next = self.free_head;
             self.free_head = victim;
         }
@@ -263,7 +315,7 @@ impl PageCache {
     /// Mark a chunk dirty at `now` (write). Inserts it if absent, evicting
     /// clean LRU chunks to make room.
     pub fn mark_dirty(&mut self, idx: ChunkIdx, now: SimTime) {
-        let Some(&s) = self.index.get(&idx) else {
+        let Some(s) = self.index.get(idx) else {
             self.insert_new(idx, ChunkState::Dirty, now);
             self.dirty_order.insert((now, idx), ());
             self.dirty_chunks += 1;
@@ -310,7 +362,7 @@ impl PageCache {
                 }
             }
             self.dirty_order.remove(&(dirtied_at, idx));
-            let s = *self.index.get(&idx).expect("dirty chunk must exist");
+            let s = self.index.get(idx).expect("dirty chunk must exist");
             let c = &mut self.slots[s as usize];
             debug_assert!(matches!(
                 c.state,
@@ -327,7 +379,7 @@ impl PageCache {
     /// Writeback of a chunk completed. If it was re-dirtied meanwhile it
     /// stays dirty; otherwise it becomes clean (and evictable).
     pub fn writeback_done(&mut self, idx: ChunkIdx) {
-        if let Some(&s) = self.index.get(&idx) {
+        if let Some(s) = self.index.get(idx) {
             let c = &mut self.slots[s as usize];
             match c.state {
                 ChunkState::Writeback => {
@@ -355,7 +407,7 @@ impl PageCache {
     /// synced first if durability matters).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.index.clear();
+        self.index = ChunkTable::default();
         self.free_head = NIL;
         self.lru_head = NIL;
         self.lru_tail = NIL;
@@ -401,7 +453,8 @@ mod tests {
         let mut pc = PageCache::new(2 * CHUNK_PAGES);
         pc.insert_clean(1);
         pc.insert_clean(2);
-        pc.touch(1); // 2 is now LRU
+        assert!(pc.touch(1)); // 2 is now LRU
+        assert!(!pc.touch(7), "a miss is reported and changes nothing");
         pc.insert_clean(3);
         // Exactly one chunk, the LRU one, was evicted.
         assert!(!pc.contains(2));

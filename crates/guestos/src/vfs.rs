@@ -4,16 +4,25 @@
 //! shifts into the host device's address space.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 /// Identifies a file inside one guest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct FileId(pub u64);
 
+/// One file record. The nonzero size gives `Option<FileMeta>` a niche,
+/// so a file-table slot stays 24 bytes.
 #[derive(Clone, Copy, Debug)]
 struct FileMeta {
     start: u64,
-    size: u64,
+    size: NonZeroU64,
+    /// Where the last read ended (the readahead cursor); `NO_READ`
+    /// before the first read.
+    read_end: u64,
 }
+
+/// `FileMeta::read_end` of a file never read.
+const NO_READ: u64 = u64::MAX;
 
 /// A first-fit extent allocator plus the file table.
 #[derive(Clone, Debug)]
@@ -63,12 +72,12 @@ impl Vfs {
 
     /// Total bytes allocated to files.
     pub fn used_bytes(&self) -> u64 {
-        self.files.iter().flatten().map(|f| f.size).sum()
+        self.files.iter().flatten().map(|f| f.size.get()).sum()
     }
 
     /// Create a file of `size` bytes (first-fit).
     pub fn create(&mut self, size: u64) -> Result<FileId, VfsError> {
-        assert!(size > 0, "zero-sized files are not modelled");
+        let nonzero = NonZeroU64::new(size).expect("zero-sized files are not modelled");
         let slot = self
             .free
             .iter()
@@ -80,7 +89,11 @@ impl Vfs {
             self.free.insert(start + size, len - size);
         }
         let id = FileId(self.files.len() as u64);
-        self.files.push(Some(FileMeta { start, size }));
+        self.files.push(Some(FileMeta {
+            start,
+            size: nonzero,
+            read_end: NO_READ,
+        }));
         Ok(id)
     }
 
@@ -93,7 +106,7 @@ impl Vfs {
             .and_then(Option::take)
             .ok_or(VfsError::NotFound)?;
         let mut start = meta.start;
-        let mut len = meta.size;
+        let mut len = meta.size.get();
         // Coalesce with the previous free extent if adjacent.
         if let Some((&prev_start, &prev_len)) = self.free.range(..start).next_back() {
             if prev_start + prev_len == start {
@@ -115,7 +128,7 @@ impl Vfs {
 
     /// File size in bytes.
     pub fn size_of(&self, id: FileId) -> Result<u64, VfsError> {
-        self.meta(id).map(|m| m.size)
+        self.meta(id).map(|m| m.size.get())
     }
 
     fn meta(&self, id: FileId) -> Result<&FileMeta, VfsError> {
@@ -128,10 +141,33 @@ impl Vfs {
     /// Translate a file-relative range to a virtual-disk byte offset.
     pub fn translate(&self, id: FileId, offset: u64, len: u64) -> Result<u64, VfsError> {
         let meta = self.meta(id)?;
-        if offset + len > meta.size {
+        if offset + len > meta.size.get() {
             return Err(VfsError::OutOfBounds);
         }
         Ok(meta.start + offset)
+    }
+
+    /// Translate a read like [`Vfs::translate`] and advance the file's
+    /// read cursor to its end. Also returns whether the read is
+    /// sequential: it starts where the previous read of the file ended.
+    /// A rejected read leaves the cursor alone.
+    pub fn translate_read(
+        &mut self,
+        id: FileId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(u64, bool), VfsError> {
+        let meta = self
+            .files
+            .get_mut(id.0 as usize)
+            .and_then(Option::as_mut)
+            .ok_or(VfsError::NotFound)?;
+        if offset + len > meta.size.get() {
+            return Err(VfsError::OutOfBounds);
+        }
+        let sequential = meta.read_end == offset;
+        meta.read_end = offset + len;
+        Ok((meta.start + offset, sequential))
     }
 }
 
@@ -149,6 +185,30 @@ mod tests {
         assert_eq!(vfs.translate(b, 100, 10).unwrap(), 4096 + 100);
         assert_eq!(vfs.file_count(), 2);
         assert_eq!(vfs.used_bytes(), 12288);
+    }
+
+    #[test]
+    fn file_slot_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Option<FileMeta>>(), 24);
+    }
+
+    #[test]
+    fn read_cursor_flags_sequential_reads() {
+        let mut vfs = Vfs::new(1 << 20);
+        let a = vfs.create(8192).unwrap();
+        let b = vfs.create(8192).unwrap();
+        // The first read is never sequential, even at offset 0.
+        assert_eq!(vfs.translate_read(a, 0, 100), Ok((0, false)));
+        assert_eq!(vfs.translate_read(a, 100, 50), Ok((100, true)));
+        // Cursors are per file.
+        assert_eq!(vfs.translate_read(b, 0, 10), Ok((8192, false)));
+        assert_eq!(vfs.translate_read(a, 0, 10), Ok((0, false)));
+        // A rejected read does not move the cursor.
+        assert_eq!(vfs.translate_read(a, 10, 9000), Err(VfsError::OutOfBounds));
+        assert_eq!(vfs.translate_read(a, 10, 1), Ok((10, true)));
+        // Deleting the file drops its cursor with the record.
+        vfs.delete(a).unwrap();
+        assert_eq!(vfs.translate_read(a, 11, 1), Err(VfsError::NotFound));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use iorch_guestos::{
     coalesce_chunks, congestion_off_threshold, congestion_on_threshold, ChunkIdx, GuestQueue,
-    GuestQueueParams, PageCache, Submit, Vfs, CHUNK_PAGES,
+    GuestQueueParams, PageCache, Submit, Vfs, CHUNK_PAGES, CHUNK_SIZE,
 };
 use iorch_simcore::{gen, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId};
@@ -124,10 +124,12 @@ impl RefCache {
         }
     }
 
-    fn touch(&mut self, idx: ChunkIdx) {
-        if let Some(p) = self.position(idx) {
+    fn touch(&mut self, idx: ChunkIdx) -> bool {
+        let hit = self.position(idx);
+        if let Some(p) = hit {
             self.move_to_mru(p);
         }
+        hit.is_some()
     }
 
     fn insert_clean(&mut self, idx: ChunkIdx) {
@@ -198,27 +200,44 @@ impl RefCache {
 /// every step — full LRU order (hence residency and future victim order),
 /// dirty/writeback counts, oldest dirty age and every writeback batch —
 /// and the slab must never hold more slots than the peak resident count.
+/// Chunk indices are sparse over a 60 GiB disk, so they land in many
+/// leaves of the chunk table, including its first and last chunk and
+/// both sides of leaf boundaries.
 #[test]
 fn page_cache_matches_naive_reference() {
+    const LAST: ChunkIdx = (60 << 30) / CHUNK_SIZE - 1;
     let mut evictions = 0;
     gen::for_each_seed(0x60_0007, CASES, |seed, rng| {
         let cap = rng.range(2, 32) as usize;
-        let keys = 3 * cap as u64;
+        let mut keys: Vec<ChunkIdx> = vec![0, 511, 512, LAST];
+        while keys.len() < 3 * cap {
+            let k = match rng.below(3) {
+                0 => rng.below(2048),
+                1 => LAST - rng.below(2048),
+                _ => rng.below(LAST + 1),
+            };
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
         let mut pc = PageCache::new(cap as u64 * CHUNK_PAGES);
         let mut reference = RefCache::new(cap);
         let mut inflight: Vec<ChunkIdx> = Vec::new();
         for step in 0..600u64 {
             // Two steps per millisecond: dirty-order ties break on chunk.
             let now = SimTime::from_millis(step / 2);
-            let chunk = rng.below(keys);
+            let chunk = keys[rng.below(keys.len() as u64) as usize];
             match rng.below(12) {
                 0..=2 => {
                     pc.insert_clean(chunk);
                     reference.insert_clean(chunk);
                 }
                 3..=4 => {
-                    pc.touch(chunk);
-                    reference.touch(chunk);
+                    assert_eq!(
+                        pc.touch(chunk),
+                        reference.touch(chunk),
+                        "touch hit, step {step} (seed {seed})"
+                    );
                 }
                 5..=7 => {
                     pc.mark_dirty(chunk, now);

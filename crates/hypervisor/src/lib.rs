@@ -31,8 +31,8 @@ pub use cpu::CpuAccounting;
 pub use domain::{DomainId, VmSpec};
 pub use iocore::{IoCore, IoCoreParams};
 pub use machine::{
-    Cluster, ControlPlane, CpuWaiter, Domain, IoPathMode, Machine, MachineConfig, OpResult,
-    OpWaiter, PlacementCaps, Sched, VirtTiming,
+    Cluster, ControlPlane, Domain, IoPathMode, Machine, MachineConfig, OpHandler, OpResult,
+    PlacementCaps, Sched, VirtTiming, Waiter,
 };
 pub use numa::{CoreId, NumaTopology, PlacementPolicy};
 pub use ring::{Ring, RingPush};

@@ -12,7 +12,7 @@
 //! store watch events to it, and it acts back through the `cp_*` action
 //! methods — exactly the paper's monitoring/management-module split.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use iorch_guestos::{
@@ -20,7 +20,7 @@ use iorch_guestos::{
 };
 use iorch_metrics::LatencyHistogram;
 use iorch_simcore::trace::TraceEventKind;
-use iorch_simcore::{trace_event, FaultPlan, Scheduler, SimDuration, SimRng, SimTime};
+use iorch_simcore::{trace_event, FaultPlan, IdMap, Scheduler, SimDuration, SimRng, SimTime};
 use iorch_storage::{IoRequest, StorageSubsystem, StreamId};
 
 use crate::cpu::CpuAccounting;
@@ -33,20 +33,72 @@ use crate::xenstore::{Perms, StoreQuota, WatchEvent, XenStore};
 /// Scheduler over the cluster world.
 pub type Sched = Scheduler<Cluster>;
 
-/// Continuation invoked when a file operation completes.
-pub type OpWaiter = Box<dyn FnOnce(&mut Cluster, &mut Sched, OpResult)>;
+/// A registered continuation target for file ops and CPU work items.
+///
+/// A workload registers one handler and passes a [`Waiter`] (the handler
+/// plus a `u64` token naming the resumed thread or stage) with each op,
+/// so an op carries no code of its own and starting one allocates
+/// nothing. Closures `Fn(&mut Cluster, &mut Sched, Option<OpResult>)` are
+/// handlers too; they ignore the token (see [`Waiter::from_fn`]).
+pub trait OpHandler {
+    /// Resume continuation `token`. `result` is the completed op for
+    /// [`Cluster::submit_op`] and `None` for [`Cluster::run_cpu`].
+    fn wake(self: Rc<Self>, cl: &mut Cluster, s: &mut Sched, token: u64, result: Option<OpResult>);
+}
+
+impl<F> OpHandler for F
+where
+    F: Fn(&mut Cluster, &mut Sched, Option<OpResult>) + 'static,
+{
+    fn wake(
+        self: Rc<Self>,
+        cl: &mut Cluster,
+        s: &mut Sched,
+        _token: u64,
+        result: Option<OpResult>,
+    ) {
+        (*self)(cl, s, result)
+    }
+}
+
+/// A continuation: a registered [`OpHandler`] and the token it is woken
+/// with. Building one from an existing handler is a reference-count
+/// increment, not an allocation.
+pub struct Waiter {
+    handler: Rc<dyn OpHandler>,
+    token: u64,
+}
+
+impl Waiter {
+    /// Wake `handler` with `token`.
+    pub fn new(handler: Rc<dyn OpHandler>, token: u64) -> Self {
+        Waiter { handler, token }
+    }
+
+    /// A one-off continuation from a closure (allocates its handler).
+    pub fn from_fn(f: impl Fn(&mut Cluster, &mut Sched, Option<OpResult>) + 'static) -> Self {
+        Waiter::new(Rc::new(f), 0)
+    }
+
+    fn wake(self, cl: &mut Cluster, s: &mut Sched, result: Option<OpResult>) {
+        self.handler.wake(cl, s, self.token, result);
+    }
+}
+
+/// An op in flight whose completion is not yet known: the VCPU that
+/// issued it (ring requests are routed by it) and its continuation.
+struct PendingOp {
+    vcpu: u32,
+    waiter: Option<Waiter>,
+}
 
 /// An op [`Cluster::submit_op`] has just started, handed to output
 /// processing so a synchronous completion never touches the pending-op
-/// maps.
+/// map.
 struct StartedOp {
     op: OpId,
-    vcpu: u32,
-    waiter: Option<OpWaiter>,
+    pending: PendingOp,
 }
-
-/// Continuation invoked when a CPU work item finishes.
-pub type CpuWaiter = Box<dyn FnOnce(&mut Cluster, &mut Sched)>;
 
 /// How block I/O reaches the host — the axis the paper's comparisons vary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -214,8 +266,14 @@ pub struct Domain {
     /// Per-socket I/O routing weights (co-scheduler output). Empty means
     /// "route to the issuing VCPU's socket".
     route_weights: Vec<f64>,
-    op_vcpu: HashMap<OpId, u32>,
-    op_waiters: HashMap<OpId, OpWaiter>,
+    /// Ops started by [`Cluster::submit_op`] that did not complete inline.
+    pending_ops: IdMap<OpId, PendingOp>,
+    /// Block-level I/O latency (empty until the first completion).
+    io_hist: LatencyHistogram,
+    /// Bytes moved by completed block requests.
+    io_bytes: u64,
+    /// File ops completed.
+    ops_completed: u64,
 }
 
 impl Domain {
@@ -233,6 +291,19 @@ impl Domain {
     /// The domain's dense slot index (see [`Machine::slot_of`]).
     pub fn slot(&self) -> usize {
         self.slot
+    }
+
+    /// Schedule the kernel timer for the guest's next deadline unless one
+    /// is already due by then.
+    fn arm_timer(&mut self, idx: usize, s: &mut Sched) {
+        let deadline = self.kernel.next_deadline();
+        if deadline < self.timer_at {
+            self.timer_at = deadline;
+            let dom = self.id;
+            s.schedule_at(deadline, move |cl: &mut Cluster, s| {
+                Cluster::kernel_timer(cl, idx, s, dom);
+            });
+        }
     }
 }
 
@@ -254,28 +325,32 @@ pub struct Machine {
     pub iocores: Vec<IoCore>,
     /// Deterministic noise source.
     pub rng: SimRng,
-    domains: BTreeMap<DomainId, Domain>,
+    /// Domains indexed by slot; `None` marks a free slot. The length is
+    /// the slot high-water mark.
+    domains: Vec<Option<Domain>>,
+    /// Slot of every live domain.
+    slot_by_id: IdMap<DomainId, u32>,
+    /// Live domain ids, ascending. Ids grow with every creation, so a
+    /// new domain is appended.
+    live: Vec<DomainId>,
     /// FIFO availability time of each physical core for VCPU work.
     core_busy: Vec<SimTime>,
     next_domid: u32,
     /// Free dense slots from destroyed domains, reused LIFO so the slot
     /// space stays as compact as the peak concurrent domain count.
     slot_free: Vec<usize>,
-    /// High-water slot count: every live domain's slot is `< slot_high`.
-    slot_high: usize,
     vdisk_cursor: u64,
-    stream_to_dom: HashMap<StreamId, DomainId>,
     control: Option<Box<dyn ControlPlane>>,
     device_event_at: SimTime,
-    pending_signals: Vec<(DomainId, KernelSignal)>,
-    pending_results: Vec<(OpResult, Option<OpWaiter>)>,
+    pending_signals: VecDeque<(DomainId, KernelSignal)>,
+    pending_results: Vec<(OpResult, Option<Waiter>)>,
     /// Drained kernel-output buffers, swapped with a kernel's outputs by
     /// `process_domain_outputs` and handed back empty (see
     /// [`GuestKernel::swap_outputs`]).
     out_spare: KernelOutputs,
-    io_hist: BTreeMap<DomainId, LatencyHistogram>,
-    io_bytes: BTreeMap<DomainId, u64>,
-    ops_completed: BTreeMap<DomainId, u64>,
+    /// Reused buffer of ring requests with their issuing VCPU, filled and
+    /// drained by `process_domain_outputs`.
+    routed_spare: Vec<(IoRequest, u32)>,
     /// Re-entrancy guard for [`Cluster::drain_results`]: a waiter that
     /// submits an op whose completion is synchronous (pure cache hit) must
     /// not recurse — the outer drain loop picks the new result up.
@@ -293,8 +368,8 @@ pub struct Machine {
     bus_seq: u64,
 }
 
-/// The simulation world: machines (plus whatever workload state event
-/// closures capture via `Rc<RefCell<…>>`).
+/// The simulation world: machines (plus whatever workload state the
+/// registered [`OpHandler`]s and event closures hold).
 #[derive(Default)]
 pub struct Cluster {
     /// The machines.
@@ -406,7 +481,9 @@ impl Cluster {
         Cluster::drain_results(self, idx, s);
     }
 
-    /// Submit a file op from `vcpu` of `dom`; `waiter` fires on completion.
+    /// Submit a file op from `vcpu` of `dom`; `waiter` wakes with the
+    /// op's result on completion (inline, before this returns, on a
+    /// cache hit). Ops of a destroyed domain never wake.
     pub fn submit_op(
         &mut self,
         s: &mut Sched,
@@ -414,13 +491,14 @@ impl Cluster {
         dom: DomainId,
         vcpu: u32,
         op: FileOp,
-        waiter: Option<OpWaiter>,
+        waiter: Option<Waiter>,
     ) {
         self.machines[idx].submit_op_inner(s, dom, vcpu, op, waiter);
         Cluster::drain_results(self, idx, s);
     }
 
-    /// Run `work` of CPU time on a VCPU; `k` fires when it retires.
+    /// Run `work` of CPU time on a VCPU; `k` wakes with no result when
+    /// it retires.
     ///
     /// Each physical core serves the work items of the VCPUs placed on it
     /// FIFO, and each VCPU runs one item at a time — so contention costs
@@ -433,12 +511,13 @@ impl Cluster {
         dom: DomainId,
         vcpu: u32,
         work: SimDuration,
-        k: CpuWaiter,
+        k: Waiter,
     ) {
         let m = &mut self.machines[idx];
-        let Some(d) = m.domains.get_mut(&dom) else {
+        let Some(&dslot) = m.slot_by_id.get(&dom) else {
             return; // domain died; drop the continuation
         };
+        let d = m.domains[dslot as usize].as_mut().expect("live slot");
         let core = d.cores[vcpu as usize % d.cores.len()];
         let slot = vcpu as usize % d.vcpu_busy.len();
         let now = s.now();
@@ -460,7 +539,7 @@ impl Cluster {
         // way; boosted work pushes CPU-bound co-residents back.
         m.core_busy[core.0] = m.core_busy[core.0].max(start) + work;
         m.cpu.record_busy(core, work);
-        s.schedule_at(finish, move |cl: &mut Cluster, s| k(cl, s));
+        s.schedule_at(finish, move |cl: &mut Cluster, s| k.wake(cl, s, None));
     }
 
     /// Run a deferred control-plane-style action against a machine (e.g. a
@@ -494,7 +573,7 @@ impl Cluster {
                 break;
             };
             if let Some(w) = waiter {
-                w(cl, s, result);
+                w.wake(cl, s, Some(result));
             }
         }
         cl.machines[idx].draining = false;
@@ -505,9 +584,10 @@ impl Cluster {
     fn backend_wake(cl: &mut Cluster, idx: usize, s: &mut Sched, dom: DomainId) {
         let m = &mut cl.machines[idx];
         let now = s.now();
-        let Some(d) = m.domains.get_mut(&dom) else {
+        let Some(&slot) = m.slot_by_id.get(&dom) else {
             return;
         };
+        let d = m.domains[slot as usize].as_mut().expect("live slot");
         let batch = d.ring.drain(usize::MAX);
         let mut submit_times = Vec::with_capacity(batch.len());
         let mut total_cpu = SimDuration::ZERO;
@@ -567,7 +647,9 @@ impl Cluster {
             IoPathMode::DedicatedCores { .. } => m.cfg.timing.polled_completion_latency,
         };
         for req in done {
-            if let Some(&dom) = m.stream_to_dom.get(&req.stream) {
+            // A guest's stream id is its domain id.
+            let dom = DomainId(req.stream.0);
+            if m.slot_by_id.contains_key(&dom) {
                 s.schedule_in(delay, move |cl: &mut Cluster, s| {
                     Cluster::deliver_completion(cl, idx, s, dom, req);
                 });
@@ -585,10 +667,9 @@ impl Cluster {
     ) {
         let now = s.now();
         let m = &mut cl.machines[idx];
-        if let Some(d) = m.domains.get_mut(&dom) {
-            let lat = now.saturating_since(req.submitted);
-            m.io_hist.entry(dom).or_default().record(lat);
-            *m.io_bytes.entry(dom).or_insert(0) += req.len;
+        if let Some((slot, d)) = m.live_mut(dom) {
+            d.io_hist.record(now.saturating_since(req.submitted));
+            d.io_bytes += req.len;
             trace_event!(
                 now,
                 TraceEventKind::BlockComplete {
@@ -597,7 +678,7 @@ impl Cluster {
                 }
             );
             d.kernel.on_block_complete(req.id, now);
-            m.process_domain_outputs(s, dom, None);
+            m.process_domain_outputs(s, slot, None);
             m.dispatch_signals(s);
         }
         Cluster::drain_results(cl, idx, s);
@@ -606,12 +687,12 @@ impl Cluster {
     fn kernel_timer(cl: &mut Cluster, idx: usize, s: &mut Sched, dom: DomainId) {
         let now = s.now();
         let m = &mut cl.machines[idx];
-        let Some(d) = m.domains.get_mut(&dom) else {
+        let Some((slot, d)) = m.live_mut(dom) else {
             return;
         };
         d.timer_at = SimTime::MAX;
         d.kernel.on_timer(now);
-        m.process_domain_outputs(s, dom, None);
+        m.process_domain_outputs(s, slot, None);
         m.dispatch_signals(s);
         m.ensure_timer(s, dom);
         Cluster::drain_results(cl, idx, s);
@@ -713,21 +794,19 @@ impl Machine {
             cpu,
             iocores,
             rng: SimRng::new(cfg.seed),
-            domains: BTreeMap::new(),
+            domains: Vec::new(),
+            slot_by_id: IdMap::default(),
+            live: Vec::new(),
             core_busy: vec![SimTime::ZERO; cfg.sockets * cfg.cores_per_socket],
             next_domid: 1,
             slot_free: Vec::new(),
-            slot_high: 0,
             vdisk_cursor: 0,
-            stream_to_dom: HashMap::new(),
             control: None,
             device_event_at: SimTime::MAX,
-            pending_signals: Vec::new(),
+            pending_signals: VecDeque::new(),
             pending_results: Vec::new(),
             out_spare: KernelOutputs::default(),
-            io_hist: BTreeMap::new(),
-            io_bytes: BTreeMap::new(),
-            ops_completed: BTreeMap::new(),
+            routed_spare: Vec::new(),
             draining: false,
             faults: None,
             control_down: false,
@@ -759,19 +838,19 @@ impl Machine {
     /// Prefer this over [`Machine::domain_ids`] everywhere a borrow of
     /// the machine can be held across the loop.
     pub fn domains(&self) -> impl Iterator<Item = DomainId> + '_ {
-        self.domains.keys().copied()
+        self.live.iter().copied()
     }
 
     /// Number of live domains.
     pub fn domain_count(&self) -> usize {
-        self.domains.len()
+        self.live.len()
     }
 
     /// Collect live domain ids into a fresh `Vec` (ascending). Kept for
     /// call sites that must release the machine borrow (e.g. the frozen
     /// legacy planes); new code should use [`Machine::domains`].
     pub fn domain_ids(&self) -> Vec<DomainId> {
-        self.domains.keys().copied().collect()
+        self.live.clone()
     }
 
     /// Dense slot index of a live domain. Slots are assigned at creation
@@ -779,28 +858,22 @@ impl Machine {
     /// unlike [`DomainId`]s they ARE reused, and slot-keyed state must be
     /// reset when the occupying domain changes.
     pub fn slot_of(&self, dom: DomainId) -> Option<usize> {
-        self.domains.get(&dom).map(|d| d.slot)
+        self.slot_by_id.get(&dom).map(|&s| s as usize)
     }
 
     /// High-water slot count: an exclusive upper bound on every live
     /// domain's slot, bounded by the peak concurrent domain count (not by
     /// the total ever created).
     pub fn slot_count(&self) -> usize {
-        self.slot_high
+        self.domains.len()
     }
 
-    /// Entries in the machine's per-domain maps: domains, stream routes,
-    /// I/O latency histograms, I/O byte counts and completed-op counts.
-    /// Destroying a domain drops all five, so each stays bounded by the
-    /// live domain count.
-    pub fn domain_entries(&self) -> [usize; 5] {
-        [
-            self.domains.len(),
-            self.stream_to_dom.len(),
-            self.io_hist.len(),
-            self.io_bytes.len(),
-            self.ops_completed.len(),
-        ]
+    /// Entries in the machine's per-domain indexes: occupied slots and
+    /// the id -> slot map. Every other per-domain datum is a [`Domain`]
+    /// field, so destroying a domain frees it with the slot; both stay
+    /// equal to the live domain count.
+    pub fn domain_entries(&self) -> [usize; 2] {
+        [self.domains.iter().flatten().count(), self.slot_by_id.len()]
     }
 
     /// Capacity snapshot a cluster placement layer scores against: static
@@ -810,33 +883,52 @@ impl Machine {
             total_cores: self.topology.unreserved_cores() as u32,
             numa_max_cores: self.topology.max_unreserved_in_socket() as u32,
             placed_vcpus: self.topology.placed_vcpus(),
-            committed_mem: self.domains.values().map(|d| d.spec.mem_bytes).sum(),
+            committed_mem: self
+                .domains
+                .iter()
+                .flatten()
+                .map(|d| d.spec.mem_bytes)
+                .sum(),
         }
     }
 
     /// Access a domain.
     pub fn domain(&self, dom: DomainId) -> Option<&Domain> {
-        self.domains.get(&dom)
+        let slot = *self.slot_by_id.get(&dom)?;
+        self.domains[slot as usize].as_ref()
+    }
+
+    fn domain_mut(&mut self, dom: DomainId) -> Option<&mut Domain> {
+        self.live_mut(dom).map(|(_, d)| d)
+    }
+
+    /// A live domain with its slot.
+    fn live_mut(&mut self, dom: DomainId) -> Option<(usize, &mut Domain)> {
+        let slot = *self.slot_by_id.get(&dom)? as usize;
+        self.domains[slot].as_mut().map(|d| (slot, d))
     }
 
     /// Mutable access to a domain's kernel (policy hooks use this).
     pub fn kernel_mut(&mut self, dom: DomainId) -> Option<&mut GuestKernel> {
-        self.domains.get_mut(&dom).map(|d| &mut d.kernel)
+        self.domain_mut(dom).map(|d| &mut d.kernel)
     }
 
-    /// Block-level I/O latency histogram of a domain.
+    /// Block-level I/O latency histogram of a domain (`None` until its
+    /// first block request completes).
     pub fn io_latency(&self, dom: DomainId) -> Option<&LatencyHistogram> {
-        self.io_hist.get(&dom)
+        self.domain(dom)
+            .map(|d| &d.io_hist)
+            .filter(|h| !h.is_empty())
     }
 
     /// Total bytes moved for a domain.
     pub fn io_bytes(&self, dom: DomainId) -> u64 {
-        self.io_bytes.get(&dom).copied().unwrap_or(0)
+        self.domain(dom).map_or(0, |d| d.io_bytes)
     }
 
     /// File ops completed for a domain.
     pub fn ops_completed(&self, dom: DomainId) -> u64 {
-        self.ops_completed.get(&dom).copied().unwrap_or(0)
+        self.domain(dom).map_or(0, |d| d.ops_completed)
     }
 
     /// Machine CPU utilization so far.
@@ -853,17 +945,14 @@ impl Machine {
         let id = DomainId(self.next_domid);
         self.next_domid += 1;
         let slot = self.slot_free.pop().unwrap_or_else(|| {
-            let s = self.slot_high;
-            self.slot_high += 1;
-            s
+            self.domains.push(None);
+            self.domains.len() - 1
         });
         let cores = self
             .topology
             .place(id, spec.vcpus, PlacementPolicy::PreferSameSocket);
         // Allocate the virtual disk as a region of the host device,
         // wrapping modulo capacity for long arrival/departure runs.
-        let cap = self.storage.device_bandwidth().max(1); // placeholder, see below
-        let _ = cap;
         let dev_capacity: u64 = 960 << 30;
         if self.vdisk_cursor + spec.vdisk_bytes > dev_capacity {
             self.vdisk_cursor = 0;
@@ -883,52 +972,61 @@ impl Machine {
         let _ = self
             .store
             .write(id, format!("{path}/virt-dev/has_dirty_pages"), "0");
-        self.stream_to_dom.insert(stream, id);
         let vcpus = spec.vcpus as usize;
-        self.domains.insert(
+        self.slot_by_id.insert(id, slot as u32);
+        debug_assert!(self.live.last() < Some(&id), "domain ids ascend");
+        self.live.push(id);
+        self.domains[slot] = Some(Domain {
             id,
-            Domain {
-                id,
-                spec,
-                kernel,
-                cores,
-                vcpu_busy: vec![SimTime::ZERO; vcpus],
-                ring: Ring::new(1024),
-                backend_busy_until: SimTime::ZERO,
-                rate_limit_bps: None,
-                rate_ready_at: SimTime::ZERO,
-                vdisk_base,
-                timer_at: SimTime::MAX,
-                created_at: s.now(),
-                slot,
-                route_weights: Vec::new(),
-                op_vcpu: HashMap::new(),
-                op_waiters: HashMap::new(),
-            },
-        );
+            spec,
+            kernel,
+            cores,
+            vcpu_busy: vec![SimTime::ZERO; vcpus],
+            ring: Ring::new(1024),
+            backend_busy_until: SimTime::ZERO,
+            rate_limit_bps: None,
+            rate_ready_at: SimTime::ZERO,
+            vdisk_base,
+            timer_at: SimTime::MAX,
+            created_at: s.now(),
+            slot,
+            route_weights: Vec::new(),
+            pending_ops: IdMap::default(),
+            io_hist: LatencyHistogram::new(),
+            io_bytes: 0,
+            ops_completed: 0,
+        });
         self.ensure_timer(s, id);
         id
     }
 
+    /// Free a domain's slot and everything in its [`Domain`] record (its
+    /// pending ops' continuations included, so they never wake), then
+    /// the per-domain state other components hold.
     fn destroy_domain_inner(&mut self, dom: DomainId) {
-        if let Some(d) = self.domains.remove(&dom) {
-            self.slot_free.push(d.slot);
-            self.topology.unplace(&d.cores);
-            self.stream_to_dom.remove(&d.kernel.stream());
-            self.storage.drain_stream(d.kernel.stream());
-            for core in &mut self.iocores {
-                core.remove_domain(dom);
-            }
-            // Remove the subtree before forgetting the domain: the removal
-            // events queued for its watches must still be delivered.
-            let _ = self
-                .store
-                .remove(crate::xenstore::DOM0, XenStore::domain_path(dom));
-            self.store.forget_domain(dom);
-            self.io_hist.remove(&dom);
-            self.io_bytes.remove(&dom);
-            self.ops_completed.remove(&dom);
+        let Some(slot) = self.slot_by_id.remove(&dom) else {
+            return;
+        };
+        let d = self.domains[slot as usize]
+            .take()
+            .expect("live domain has a slot");
+        self.slot_free.push(slot as usize);
+        let i = self
+            .live
+            .binary_search(&dom)
+            .expect("live domain is listed");
+        self.live.remove(i);
+        self.topology.unplace(&d.cores);
+        self.storage.drain_stream(d.kernel.stream());
+        for core in &mut self.iocores {
+            core.remove_domain(dom);
         }
+        // Remove the subtree before forgetting the domain: the removal
+        // events queued for its watches must still be delivered.
+        let _ = self
+            .store
+            .remove(crate::xenstore::DOM0, XenStore::domain_path(dom));
+        self.store.forget_domain(dom);
     }
 
     fn submit_op_inner(
@@ -937,32 +1035,36 @@ impl Machine {
         dom: DomainId,
         vcpu: u32,
         op: FileOp,
-        waiter: Option<OpWaiter>,
+        waiter: Option<Waiter>,
     ) {
-        let Some(d) = self.domains.get_mut(&dom) else {
+        let Some((slot, d)) = self.live_mut(dom) else {
             return;
         };
         let op = d.kernel.start_op(op, s.now());
-        self.process_domain_outputs(s, dom, Some(StartedOp { op, vcpu, waiter }));
+        let started = StartedOp {
+            op,
+            pending: PendingOp { vcpu, waiter },
+        };
+        self.process_domain_outputs(s, slot, Some(started));
         self.dispatch_signals(s);
     }
 
-    /// Process a guest kernel's accumulated outputs: route ring requests,
-    /// queue op results, collect signals. `started` is the op the caller
-    /// has just started: if it already completed (a cache hit) its waiter
-    /// is queued directly, otherwise it is registered as pending before
-    /// its ring requests are routed by issuing VCPU.
+    /// Process the accumulated outputs of the guest kernel in `slot`:
+    /// route ring requests, queue op results, collect signals. `started`
+    /// is the op the caller has just started: if it already completed (a
+    /// cache hit) its waiter is queued directly, otherwise it is
+    /// registered as pending before its ring requests are routed by
+    /// issuing VCPU.
     fn process_domain_outputs(
         &mut self,
         s: &mut Sched,
-        dom: DomainId,
+        slot: usize,
         mut started: Option<StartedOp>,
     ) {
         let now = s.now();
         let idx = self.idx;
-        let Some(d) = self.domains.get_mut(&dom) else {
-            return;
-        };
+        let d = self.domains[slot].as_mut().expect("live slot");
+        let dom = d.id;
         let mut out = std::mem::take(&mut self.out_spare);
         d.kernel.swap_outputs(&mut out);
         // Completed ops -> queued results (invoked at cluster level).
@@ -973,12 +1075,11 @@ impl Machine {
         } in out.completed.drain(..)
         {
             let waiter = if started.as_ref().is_some_and(|st| st.op == op) {
-                started.take().and_then(|st| st.waiter)
+                started.take().and_then(|st| st.pending.waiter)
             } else {
-                d.op_vcpu.remove(&op);
-                d.op_waiters.remove(&op)
+                d.pending_ops.remove(&op).and_then(|p| p.waiter)
             };
-            *self.ops_completed.entry(dom).or_insert(0) += 1;
+            d.ops_completed += 1;
             self.pending_results.push((
                 OpResult {
                     machine: idx,
@@ -992,23 +1093,20 @@ impl Machine {
             ));
         }
         if let Some(st) = started {
-            d.op_vcpu.insert(st.op, st.vcpu);
-            if let Some(w) = st.waiter {
-                d.op_waiters.insert(st.op, w);
-            }
+            d.pending_ops.insert(st.op, st.pending);
         }
         // Signals -> dispatched to the control plane at a safe point.
         self.pending_signals
             .extend(out.signals.drain(..).map(|sig| (dom, sig)));
         // Ring requests -> backend path.
         if !out.to_ring.is_empty() {
-            let mut routed: Vec<(IoRequest, u32)> = Vec::with_capacity(out.to_ring.len());
+            let mut routed = std::mem::take(&mut self.routed_spare);
             for mut req in out.to_ring.drain(..) {
                 let vcpu = d
                     .kernel
                     .op_of_request(req.id)
-                    .and_then(|op| d.op_vcpu.get(&op).copied())
-                    .unwrap_or(0);
+                    .and_then(|op| d.pending_ops.get(&op))
+                    .map_or(0, |p| p.vcpu);
                 req.offset += d.vdisk_base;
                 trace_event!(
                     now,
@@ -1022,7 +1120,7 @@ impl Machine {
             match self.cfg.io_mode {
                 IoPathMode::Paravirt => {
                     let timing = self.cfg.timing;
-                    for (req, _vcpu) in routed {
+                    for (req, _vcpu) in routed.drain(..) {
                         match d.ring.push(req, now) {
                             RingPush::NeedDoorbell => {
                                 s.schedule_in(timing.notify_latency, move |cl: &mut Cluster, s| {
@@ -1037,21 +1135,25 @@ impl Machine {
                     }
                 }
                 IoPathMode::DedicatedCores { per_socket } => {
-                    for (req, vcpu) in routed {
-                        let (core_idx, remote) = self.route_iocore(dom, vcpu, per_socket);
+                    for (req, vcpu) in routed.drain(..) {
+                        let (core_idx, remote) = self.route_iocore(slot, vcpu, per_socket);
                         self.iocores[core_idx].enqueue(dom, req, remote, now);
                         self.kick_iocore(s, core_idx);
                     }
                 }
             }
+            self.routed_spare = routed;
         }
         self.out_spare = out;
-        self.ensure_timer(s, dom);
+        if let Some(d) = self.domains[slot].as_mut() {
+            d.arm_timer(idx, s);
+        }
     }
 
-    /// Choose the I/O core for a request and whether the copy is remote.
-    fn route_iocore(&mut self, dom: DomainId, vcpu: u32, per_socket: bool) -> (usize, bool) {
-        let d = &self.domains[&dom];
+    /// Choose the I/O core for a request of the domain in `slot` and
+    /// whether the copy is remote.
+    fn route_iocore(&mut self, slot: usize, vcpu: u32, per_socket: bool) -> (usize, bool) {
+        let d = self.domains[slot].as_ref().expect("live slot");
         let vcpu_socket = d.vcpu_socket(&self.topology, vcpu);
         if !per_socket {
             // SDC: single core on socket 0 regardless of where the VCPU is.
@@ -1109,15 +1211,8 @@ impl Machine {
 
     fn ensure_timer(&mut self, s: &mut Sched, dom: DomainId) {
         let idx = self.idx;
-        let Some(d) = self.domains.get_mut(&dom) else {
-            return;
-        };
-        let deadline = d.kernel.next_deadline();
-        if deadline < d.timer_at {
-            d.timer_at = deadline;
-            s.schedule_at(deadline, move |cl: &mut Cluster, s| {
-                Cluster::kernel_timer(cl, idx, s, dom);
-            });
+        if let Some(d) = self.domain_mut(dom) {
+            d.arm_timer(idx, s);
         }
     }
 
@@ -1154,8 +1249,10 @@ impl Machine {
         if iorch_simcore::trace::enabled() && !self.pending_signals.is_empty() {
             self.store.set_trace_now(s.now());
         }
-        while self.control.is_some() && !self.pending_signals.is_empty() {
-            let (dom, sig) = self.pending_signals.remove(0);
+        while self.control.is_some() {
+            let Some((dom, sig)) = self.pending_signals.pop_front() else {
+                break;
+            };
             let mut cp = self.control.take().unwrap();
             cp.on_kernel_signal(self, s, dom, sig);
             self.control = Some(cp);
@@ -1164,10 +1261,9 @@ impl Machine {
         if self.control.is_none() {
             // Control plane absent entirely: default to stock Linux
             // behaviour so a bare machine still works.
-            while !self.pending_signals.is_empty() {
-                let (dom, sig) = self.pending_signals.remove(0);
+            while let Some((dom, sig)) = self.pending_signals.pop_front() {
                 if sig == KernelSignal::CongestionQuery {
-                    if let Some(d) = self.domains.get_mut(&dom) {
+                    if let Some(d) = self.domain_mut(dom) {
                         d.kernel.enter_congestion(s.now());
                     }
                 }
@@ -1250,39 +1346,39 @@ impl Machine {
 
     /// Baseline answer to a congestion query: let the guest sleep.
     pub fn cp_enter_congestion(&mut self, s: &mut Sched, dom: DomainId) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some(d) = self.domain_mut(dom) {
             d.kernel.enter_congestion(s.now());
         }
     }
 
     /// Collaborative release (`release_request` in Alg. 2).
     pub fn cp_grant_bypass(&mut self, s: &mut Sched, dom: DomainId) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some((slot, d)) = self.live_mut(dom) {
             d.kernel.grant_bypass(s.now());
-            self.process_domain_outputs(s, dom, None);
+            self.process_domain_outputs(s, slot, None);
         }
     }
 
     /// Revoke a bypass (host became congested). Any re-raised congestion
     /// query surfaces through the domain's outputs immediately.
     pub fn cp_revoke_bypass(&mut self, s: &mut Sched, dom: DomainId) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some((slot, d)) = self.live_mut(dom) {
             d.kernel.revoke_bypass(s.now());
-            self.process_domain_outputs(s, dom, None);
+            self.process_domain_outputs(s, slot, None);
         }
     }
 
     /// Remote `sync()` (`flush_now` in Alg. 1).
     pub fn cp_remote_sync(&mut self, s: &mut Sched, dom: DomainId) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some((slot, d)) = self.live_mut(dom) {
             d.kernel.remote_sync(s.now());
-            self.process_domain_outputs(s, dom, None);
+            self.process_domain_outputs(s, slot, None);
         }
     }
 
     /// Program a VM's per-socket I/O routing weights (co-scheduler).
     pub fn cp_set_route_weights(&mut self, dom: DomainId, weights: Vec<f64>) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some(d) = self.domain_mut(dom) {
             d.route_weights = weights;
         }
     }
@@ -1296,7 +1392,7 @@ impl Machine {
 
     /// Program a VM's cgroup blkio weight at the device.
     pub fn cp_set_blkio_weight(&mut self, dom: DomainId, weight: u32) {
-        if let Some(d) = self.domains.get(&dom) {
+        if let Some(d) = self.domain(dom) {
             self.storage.set_stream_weight(d.kernel.stream(), weight);
         }
     }
@@ -1306,7 +1402,7 @@ impl Machine {
     /// `RateLimit` actions. Deterministic: throttling only reshapes
     /// request start times, never drops or reorders them.
     pub fn cp_set_rate_limit(&mut self, dom: DomainId, bytes_per_sec: Option<u64>) {
-        if let Some(d) = self.domains.get_mut(&dom) {
+        if let Some(d) = self.domain_mut(dom) {
             d.rate_limit_bps = bytes_per_sec.filter(|&b| b > 0);
             if d.rate_limit_bps.is_none() {
                 d.rate_ready_at = SimTime::ZERO;
@@ -1316,7 +1412,7 @@ impl Machine {
 
     /// The currently installed backend rate limit for a VM, if any.
     pub fn rate_limit(&self, dom: DomainId) -> Option<u64> {
-        self.domains.get(&dom).and_then(|d| d.rate_limit_bps)
+        self.domain(dom).and_then(|d| d.rate_limit_bps)
     }
 }
 
@@ -1354,8 +1450,8 @@ mod tests {
                 offset,
                 len: 65536,
             },
-            Some(Box::new(move |_, _, r| {
-                *slot2.borrow_mut() = Some(r);
+            Some(Waiter::from_fn(move |_, _, r| {
+                *slot2.borrow_mut() = r;
             })),
         );
         slot
@@ -1441,7 +1537,7 @@ mod tests {
             dom,
             0,
             FileOp::Sync,
-            Some(Box::new(move |_, _, r| *d2.borrow_mut() = Some(r))),
+            Some(Waiter::from_fn(move |_, _, r| *d2.borrow_mut() = r)),
         );
         sim.run_until(SimTime::from_secs(1));
         let r = done.borrow().expect("sync completes");
@@ -1498,7 +1594,7 @@ mod tests {
             dom1,
             0,
             SimDuration::from_millis(10),
-            Box::new(|_, _| {}),
+            Waiter::from_fn(|_, _, _| {}),
         );
         cl.run_cpu(
             s,
@@ -1506,7 +1602,7 @@ mod tests {
             dom2,
             shared_vcpu,
             SimDuration::from_millis(10),
-            Box::new(move |_, s| *f2.borrow_mut() = Some(s.now())),
+            Waiter::from_fn(move |_, s, _| *f2.borrow_mut() = Some(s.now())),
         );
         sim.run_until(SimTime::from_millis(100));
         let t = finish.borrow().expect("cpu work completes");
@@ -1523,7 +1619,7 @@ mod tests {
             dom1,
             5,
             SimDuration::from_millis(10),
-            Box::new(move |_, s| *f4.borrow_mut() = Some(s.now())),
+            Waiter::from_fn(move |_, s, _| *f4.borrow_mut() = Some(s.now())),
         );
         sim.run_until(SimTime::from_millis(200));
         let t2 = f3.borrow().expect("second work completes");
@@ -1571,6 +1667,110 @@ mod tests {
         assert_eq!(m.slot_count(), 2, "slot space bounded by peak domains");
         assert_eq!(m.slot_of(last), Some(1));
         assert!(m.slot_of(b).is_none(), "dead domains have no slot");
+    }
+
+    /// Recycled slots keep `domains()` in ascending id order, and a
+    /// domain in a reused slot starts with fresh per-domain counters.
+    #[test]
+    fn recycled_slots_keep_id_order_and_start_fresh() {
+        let (mut sim, idx) = sim_with(IoPathMode::Paravirt);
+        let (cl, s) = sim.parts_mut();
+        let [a, b, c] = [(); 3].map(|_| cl.create_domain(s, idx, VmSpec::new(1, 1), |_| {}));
+        let file = cl.machines[idx]
+            .kernel_mut(b)
+            .unwrap()
+            .create_file(10 << 20)
+            .unwrap();
+        let done = one_read(&mut sim, idx, b, file, 0);
+        sim.run_until(SimTime::from_millis(100));
+        assert!(done.borrow().is_some());
+        let m = sim.world().machine(idx);
+        assert_eq!(m.ops_completed(b), 1);
+        assert!(m.io_bytes(b) > 0 && m.io_latency(b).is_some());
+
+        let (cl, s) = sim.parts_mut();
+        cl.destroy_domain(s, idx, b);
+        cl.destroy_domain(s, idx, a);
+        let d = cl.create_domain(s, idx, VmSpec::new(1, 1), |_| {});
+        let e = cl.create_domain(s, idx, VmSpec::new(1, 1), |_| {});
+        let m = cl.machine(idx);
+        assert_eq!(
+            (m.slot_of(c), m.slot_of(d), m.slot_of(e)),
+            (Some(2), Some(0), Some(1))
+        );
+        assert!(m.domains().eq([c, d, e]), "ascending ids, not slot order");
+        assert_eq!(m.domain_count(), 3);
+        assert_eq!(m.domain_entries(), [3, 3]);
+        for dom in [b, e] {
+            assert_eq!(m.ops_completed(dom), 0);
+            assert_eq!(m.io_bytes(dom), 0);
+            assert!(m.io_latency(dom).is_none());
+        }
+    }
+
+    /// Counts wakes per token; every wake must carry an op result.
+    struct Counter(RefCell<Vec<u32>>);
+
+    impl OpHandler for Counter {
+        fn wake(self: Rc<Self>, _: &mut Cluster, _: &mut Sched, token: u64, r: Option<OpResult>) {
+            assert!(r.is_some(), "an op wake carries its result");
+            self.0.borrow_mut()[token as usize] += 1;
+        }
+    }
+
+    /// One handler serves many tokens: each live op wakes it exactly
+    /// once with its own token, hits inline and misses later, and the
+    /// pending ops of a destroyed domain never wake.
+    #[test]
+    fn one_handler_many_tokens_wake_once() {
+        const OPS: u64 = 40;
+        let (mut sim, idx) = sim_with(IoPathMode::DedicatedCores { per_socket: true });
+        let (cl, s) = sim.parts_mut();
+        let live = cl.create_domain(s, idx, VmSpec::new(2, 4), |_| {});
+        let doomed = cl.create_domain(s, idx, VmSpec::new(2, 4), |_| {});
+        let files = [live, doomed].map(|dom| {
+            cl.machines[idx]
+                .kernel_mut(dom)
+                .unwrap()
+                .create_file(100 << 20)
+                .unwrap()
+        });
+        let warm = one_read(&mut sim, idx, live, files[0], 0);
+        sim.run_until(SimTime::from_millis(100));
+        assert!(warm.borrow().is_some());
+        let (cl, s) = sim.parts_mut();
+        let counter = Rc::new(Counter(RefCell::new(vec![0; 2 * OPS as usize])));
+        for token in 0..2 * OPS {
+            let (dom, file) = if token < OPS {
+                (live, files[0])
+            } else {
+                (doomed, files[1])
+            };
+            // Every fourth op re-reads chunk 0: a hit on the warm domain.
+            let hit = token % 4 == 0;
+            let offset = if hit { 0 } else { token << 20 };
+            let op = FileOp::Read {
+                file,
+                offset,
+                len: 4096,
+            };
+            let waiter = Waiter::new(Rc::clone(&counter) as Rc<dyn OpHandler>, token);
+            cl.submit_op(s, idx, dom, (token % 2) as u32, op, Some(waiter));
+            let inline = u32::from(hit && dom == live);
+            assert_eq!(counter.0.borrow()[token as usize], inline, "token {token}");
+        }
+        cl.destroy_domain(s, idx, doomed);
+        sim.run_until(SimTime::from_millis(500));
+        let wakes = counter.0.borrow();
+        assert!(wakes[..OPS as usize].iter().all(|&n| n == 1), "{wakes:?}");
+        assert!(wakes[OPS as usize..].iter().all(|&n| n == 0), "{wakes:?}");
+        let m = sim.world().machine(idx);
+        assert_eq!(
+            m.ops_completed(live),
+            OPS + 1,
+            "the warm-up read counts too"
+        );
+        assert!(m.domain(live).unwrap().pending_ops.is_empty());
     }
 
     #[test]
@@ -1707,13 +1907,13 @@ mod tests {
                     offset: 0,
                     len: 65536,
                 },
-                Some(Box::new(move |_, _, _| f.borrow_mut()[i] += 1)),
+                Some(Waiter::from_fn(move |_, _, _| f.borrow_mut()[i] += 1)),
             );
             assert_eq!(fired.borrow()[i], 1, "hit {i} must complete inline");
         }
         assert!(fired.borrow().iter().all(|&n| n == 1));
-        let d = &cl.machines[idx].domains[&dom];
-        assert!(d.op_vcpu.is_empty() && d.op_waiters.is_empty());
+        let d = cl.machines[idx].domain(dom).unwrap();
+        assert!(d.pending_ops.is_empty());
 
         let m = &cl.machines[idx];
         let (sock0, sock7) = (d.vcpu_socket(&m.topology, 0), d.vcpu_socket(&m.topology, 7));
@@ -1740,12 +1940,14 @@ mod tests {
                     offset,
                     len: 65536,
                 },
-                Some(Box::new(move |_, _, _| *d2.borrow_mut() += 1)),
+                Some(Waiter::from_fn(move |_, _, _| *d2.borrow_mut() += 1)),
             );
-            let d = &cl.machines[idx].domains[&dom];
+            let d = cl.machines[idx].domain(dom).unwrap();
             assert_eq!(*done.borrow(), 0, "a miss must not complete inline");
-            assert_eq!(d.op_vcpu.values().copied().collect::<Vec<_>>(), vec![k]);
-            assert_eq!(d.op_waiters.len(), 1);
+            let pending: Vec<_> = d.pending_ops.values().collect();
+            assert_eq!(pending.len(), 1);
+            assert_eq!(pending[0].vcpu, k);
+            assert!(pending[0].waiter.is_some());
             let until = sim.now() + SimDuration::from_millis(100);
             sim.run_until(until);
             assert_eq!(*done.borrow(), 1);
@@ -1753,8 +1955,8 @@ mod tests {
                 let want = u64::from(sk == socket);
                 assert_eq!(after - before, want, "VCPU {k}: I/O core on socket {sk}");
             }
-            let d = &sim.world().machine(idx).domains[&dom];
-            assert!(d.op_vcpu.is_empty() && d.op_waiters.is_empty());
+            let d = sim.world().machine(idx).domain(dom).unwrap();
+            assert!(d.pending_ops.is_empty());
         }
     }
 }

@@ -6,8 +6,8 @@ use std::rc::Rc;
 
 use iorch_guestos::{FileOp, KernelSignal};
 use iorch_hypervisor::{
-    Cluster, ControlPlane, DomainId, IoPathMode, Machine, MachineConfig, Sched, VmSpec, WatchEvent,
-    DOM0,
+    Cluster, ControlPlane, DomainId, IoPathMode, Machine, MachineConfig, Sched, VmSpec, Waiter,
+    WatchEvent, DOM0,
 };
 use iorch_simcore::{SimDuration, SimTime, Simulation};
 
@@ -128,8 +128,8 @@ fn io_paths_have_expected_overhead_ordering() {
                 offset: 0,
                 len: 64 << 10,
             },
-            Some(Box::new(move |_, _, r| {
-                *out2.borrow_mut() = Some(r.latency());
+            Some(Waiter::from_fn(move |_, _, r| {
+                *out2.borrow_mut() = r.map(|r| r.latency());
             })),
         );
         sim.run_until(SimTime::from_millis(50));

@@ -1,4 +1,4 @@
-//! Hash map keyed by integer ids (chunk indices, file/op/request ids).
+//! Hash map keyed by integer ids (op/request/domain ids).
 //!
 //! The keys are simulator-assigned integers, so the map needs neither
 //! DoS-resistant hashing nor SipHash's cost: one multiply per key. The
@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` with the multiplicative [`IdHasher`].
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Multiplicative hasher for integer keys.
 #[derive(Default)]
-pub(crate) struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
@@ -24,6 +24,10 @@ impl Hasher for IdHasher {
         for &b in bytes {
             self.write_u64(b as u64);
         }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
     }
 
     fn write_u64(&mut self, n: u64) {

@@ -26,6 +26,7 @@ mod event;
 pub mod event_legacy;
 pub mod faults;
 pub mod gen;
+mod idmap;
 mod rng;
 mod sim;
 mod time;
@@ -33,6 +34,7 @@ pub mod trace;
 
 pub use event::{Callback, EventToken, PeriodicHandle, Scheduler};
 pub use faults::{BusFault, FaultEvent, FaultKind, FaultPlan, FaultWindow};
+pub use idmap::{IdHasher, IdMap};
 pub use rng::{SimRng, Zipfian};
 pub use sim::{RunOutcome, Simulation};
 pub use time::{SimDuration, SimTime};

@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use iorch_guestos::{FileId, FileOp};
-use iorch_hypervisor::{Cluster, Sched};
+use iorch_hypervisor::{Cluster, Sched, Waiter};
 use iorch_netsim::{Network, NodeId};
 use iorch_simcore::{SimDuration, SimTime};
 
@@ -157,7 +157,7 @@ fn worker_scan(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize, scann
         vm.dom,
         0,
         op,
-        Some(Box::new(move |cl, s, _| {
+        Some(Waiter::from_fn(move |cl, s, _| {
             let now = s.now();
             let rsz = {
                 let x = st2.borrow();
@@ -180,8 +180,8 @@ fn worker_scan(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize, scann
                 vm.dom,
                 0,
                 cpu,
-                Box::new(move |cl, s| {
-                    worker_scan(st3, cl, s, worker, scanned + rsz);
+                Waiter::from_fn(move |cl, s, _| {
+                    worker_scan(Rc::clone(&st3), cl, s, worker, scanned + rsz);
                 }),
             );
         })),

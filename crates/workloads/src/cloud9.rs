@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use iorch_guestos::{FileId, FileOp};
-use iorch_hypervisor::{Cluster, Sched};
+use iorch_hypervisor::{Cluster, Sched, Waiter};
 use iorch_simcore::{SimDuration, SimRng};
 
 use crate::common::{provision_files, Rec, VmRef};
@@ -100,7 +100,7 @@ fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
         vm.dom,
         vcpu,
         burst,
-        Box::new(move |cl, s| {
+        Waiter::from_fn(move |cl, s, _| {
             let (do_io, op) = {
                 let mut x = st2.borrow_mut();
                 x.spent[thread as usize] += x.p.burst.as_secs_f64();
@@ -132,12 +132,12 @@ fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
                     vm.dom,
                     vcpu,
                     op.unwrap(),
-                    Some(Box::new(move |cl, s, _| {
-                        step(st3, cl, s, thread);
+                    Some(Waiter::from_fn(move |cl, s, _| {
+                        step(Rc::clone(&st3), cl, s, thread);
                     })),
                 );
             } else {
-                step(st2, cl, s, thread);
+                step(Rc::clone(&st2), cl, s, thread);
             }
         }),
     );

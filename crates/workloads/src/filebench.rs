@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use iorch_guestos::{FileId, FileOp};
-use iorch_hypervisor::{Cluster, Sched};
-use iorch_simcore::{SimDuration, SimRng};
+use iorch_hypervisor::{Cluster, OpHandler, OpResult, Sched, Waiter};
+use iorch_simcore::{SimDuration, SimRng, SimTime};
 
 use crate::common::{provision_files, Rec, VmRef};
 
@@ -64,19 +64,43 @@ struct FsState {
     recent: std::collections::VecDeque<usize>,
     rng: SimRng,
     rec: Rec,
+    threads: Vec<FsThread>,
 }
+
+/// Where one FS thread is in its cycle: the three file ops of the cycle,
+/// the next one to issue, and the cycle's start.
+#[derive(Clone, Copy)]
+struct FsThread {
+    ops: [FileOp; 3],
+    next: usize,
+    started: SimTime,
+    bytes: u64,
+    in_burst: u32,
+}
+
+/// The FS generator: one handler for all threads; a wake's token is the
+/// thread index.
+struct Fs(RefCell<FsState>);
 
 /// Launch the FS workload on a VM.
 pub fn spawn_fileserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: FsParams, rec: Rec) {
     let files = provision_files(cl, vm, p.pool, p.file_size);
-    let st = Rc::new(RefCell::new(FsState {
+    let idle = FsThread {
+        ops: [FileOp::Sync; 3],
+        next: 0,
+        started: SimTime::ZERO,
+        bytes: 0,
+        in_burst: 0,
+    };
+    let st = Rc::new(Fs(RefCell::new(FsState {
         rng: SimRng::new(p.seed),
         recent: std::collections::VecDeque::new(),
+        threads: vec![idle; p.threads as usize],
         p,
         vm,
         files,
         rec,
-    }));
+    })));
     for t in 0..p.threads {
         fs_cycle(Rc::clone(&st), cl, s, t, 0);
     }
@@ -85,9 +109,9 @@ pub fn spawn_fileserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: FsParams,
 /// One FS cycle: rewrite a file (the churn: delete+create modelled as a
 /// full overwrite), read another whole, append to a third. With wave mode
 /// on, a thread rests after its burst of cycles.
-fn fs_cycle(st: Rc<RefCell<FsState>>, cl: &mut Cluster, s: &mut Sched, thread: u32, in_burst: u32) {
+fn fs_cycle(st: Rc<Fs>, cl: &mut Cluster, s: &mut Sched, thread: u32, in_burst: u32) {
     let (vm, cpu, stop, rest) = {
-        let mut x = st.borrow_mut();
+        let mut x = st.0.borrow_mut();
         let r = x.rec.borrow();
         let stop = r.stopped || r.finished;
         drop(r);
@@ -95,26 +119,28 @@ fn fs_cycle(st: Rc<RefCell<FsState>>, cl: &mut Cluster, s: &mut Sched, thread: u
             Some((cycles, idle)) if in_burst >= cycles => Some(x.rng.exp_duration(idle)),
             _ => None,
         };
+        x.threads[thread as usize].in_burst = in_burst;
         (x.vm, x.p.op_cpu, stop, rest)
     };
     if stop {
         return;
     }
     if let Some(idle) = rest {
-        let st2 = Rc::clone(&st);
-        s.schedule_in(idle, move |cl, s| fs_cycle(st2, cl, s, thread, 0));
+        s.schedule_in(idle, move |cl, s| fs_cycle(st, cl, s, thread, 0));
         return;
     }
-    let st2 = Rc::clone(&st);
-    cl.run_cpu(
-        s,
-        vm.machine,
-        vm.dom,
-        thread,
-        cpu,
-        Box::new(move |cl, s| {
-            let (vm, write_op, read_op, append_op, bytes) = {
-                let mut x = st2.borrow_mut();
+    let vcpu_done = Waiter::new(st, thread as u64);
+    cl.run_cpu(s, vm.machine, vm.dom, thread, cpu, vcpu_done);
+}
+
+impl OpHandler for Fs {
+    fn wake(self: Rc<Self>, cl: &mut Cluster, s: &mut Sched, token: u64, r: Option<OpResult>) {
+        let thread = token as usize;
+        let (vm, op) = {
+            let mut x = self.0.borrow_mut();
+            if r.is_none() {
+                // The cycle's CPU is done: pick its files.
+                let started = s.now();
                 let n = x.files.len() as u64;
                 let fsz = x.p.file_size;
                 let asz = x.p.append_size;
@@ -135,8 +161,8 @@ fn fs_cycle(st: Rc<RefCell<FsState>>, cl: &mut Cluster, s: &mut Sched, thread: u
                     }
                 }
                 let (fw, fr, fa) = (x.files[iw], x.files[ir], x.files[ia]);
-                (
-                    x.vm,
+                let t = &mut x.threads[thread];
+                t.ops = [
                     FileOp::Write {
                         file: fw,
                         offset: 0,
@@ -152,53 +178,33 @@ fn fs_cycle(st: Rc<RefCell<FsState>>, cl: &mut Cluster, s: &mut Sched, thread: u
                         offset: fsz - asz,
                         len: asz,
                     },
-                    fsz * 2 + asz,
-                )
-            };
-            let started = s.now();
+                ];
+                t.next = 0;
+                t.started = started;
+                t.bytes = fsz * 2 + asz;
+            }
             // Chain: write -> read -> append -> record -> next cycle.
-            let st3 = Rc::clone(&st2);
-            cl.submit_op(
-                s,
-                vm.machine,
-                vm.dom,
-                thread,
-                write_op,
-                Some(Box::new(move |cl, s, _| {
-                    let st4 = Rc::clone(&st3);
-                    cl.submit_op(
-                        s,
-                        vm.machine,
-                        vm.dom,
-                        thread,
-                        read_op,
-                        Some(Box::new(move |cl, s, _| {
-                            let st5 = Rc::clone(&st4);
-                            cl.submit_op(
-                                s,
-                                vm.machine,
-                                vm.dom,
-                                thread,
-                                append_op,
-                                Some(Box::new(move |cl, s, _| {
-                                    let now = s.now();
-                                    {
-                                        let x = st5.borrow();
-                                        let mut r = x.rec.borrow_mut();
-                                        r.record(now, now.saturating_since(started), bytes);
-                                        if r.bytes >= x.p.max_bytes {
-                                            r.finished = true;
-                                        }
-                                    }
-                                    fs_cycle(st5, cl, s, thread, in_burst + 1);
-                                })),
-                            );
-                        })),
-                    );
-                })),
-            );
-        }),
-    );
+            let vm = x.vm;
+            let t = &mut x.threads[thread];
+            if t.next == t.ops.len() {
+                let (started, bytes, in_burst) = (t.started, t.bytes, t.in_burst);
+                let now = s.now();
+                let mut rec = x.rec.borrow_mut();
+                rec.record(now, now.saturating_since(started), bytes);
+                if rec.bytes >= x.p.max_bytes {
+                    rec.finished = true;
+                }
+                drop(rec);
+                drop(x);
+                fs_cycle(self, cl, s, token as u32, in_burst + 1);
+                return;
+            }
+            t.next += 1;
+            (vm, t.ops[t.next - 1])
+        };
+        let waiter = Waiter::new(self, token);
+        cl.submit_op(s, vm.machine, vm.dom, token as u32, op, Some(waiter));
+    }
 }
 
 /// Web-server (WS) parameters: read a set of pages, append to a log.
@@ -242,123 +248,119 @@ struct WsState {
     log_off: u64,
     rng: SimRng,
     rec: Rec,
+    threads: Vec<WsThread>,
 }
+
+/// Where one WS thread is in its request.
+#[derive(Clone, Copy)]
+struct WsThread {
+    /// Page reads completed; the log append follows the last one.
+    reads_done: usize,
+    started: SimTime,
+}
+
+/// The WS generator: one handler for all threads; a wake's token is the
+/// thread index.
+struct Ws(RefCell<WsState>);
 
 /// Launch the WS workload on a VM.
 pub fn spawn_webserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: WsParams, rec: Rec) {
     let pages = provision_files(cl, vm, p.pages, p.page_size);
     let log = provision_files(cl, vm, 1, 1 << 30)[0];
-    let st = Rc::new(RefCell::new(WsState {
+    let idle = WsThread {
+        reads_done: 0,
+        started: SimTime::ZERO,
+    };
+    let st = Rc::new(Ws(RefCell::new(WsState {
         rng: SimRng::new(p.seed),
+        threads: vec![idle; p.threads as usize],
         p,
         vm,
         pages,
         log,
         log_off: 0,
         rec,
-    }));
+    })));
     for t in 0..p.threads {
         ws_start(Rc::clone(&st), cl, s, t);
     }
 }
 
 /// Begin a WS request: request-handling CPU first, then the page reads.
-fn ws_start(st: Rc<RefCell<WsState>>, cl: &mut Cluster, s: &mut Sched, thread: u32) {
-    let (vm, cpu, stop) = {
-        let x = st.borrow();
-        let stopped = x.rec.borrow().stopped;
-        (x.vm, x.p.op_cpu, stopped)
+fn ws_start(st: Rc<Ws>, cl: &mut Cluster, s: &mut Sched, thread: u32) {
+    let (vm, cpu) = {
+        let mut x = st.0.borrow_mut();
+        if x.rec.borrow().stopped {
+            return;
+        }
+        x.threads[thread as usize] = WsThread {
+            reads_done: 0,
+            started: s.now(),
+        };
+        (x.vm, x.p.op_cpu)
     };
-    if stop {
-        return;
-    }
-    let started = s.now();
-    let st2 = Rc::clone(&st);
-    cl.run_cpu(
-        s,
-        vm.machine,
-        vm.dom,
-        thread,
-        cpu,
-        Box::new(move |cl, s| {
-            ws_cycle(st2, cl, s, thread, 0, started);
-        }),
-    );
+    let cpu_done = Waiter::new(st, thread as u64);
+    cl.run_cpu(s, vm.machine, vm.dom, thread, cpu, cpu_done);
 }
 
-fn ws_cycle(
-    st: Rc<RefCell<WsState>>,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    thread: u32,
-    reads_done: usize,
-    started: iorch_simcore::SimTime,
-) {
-    let (vm, stop) = {
-        let x = st.borrow();
-        let stopped = x.rec.borrow().stopped;
-        (x.vm, stopped)
-    };
-    if stop {
-        return;
-    }
-    let (op, is_last, bytes) = {
-        let mut x = st.borrow_mut();
-        if reads_done < x.p.reads_per_req {
+/// Issue the thread's next op: a page read, or the log append after the
+/// last read.
+fn ws_cycle(st: Rc<Ws>, cl: &mut Cluster, s: &mut Sched, thread: u32) {
+    let (vm, op) = {
+        let mut x = st.0.borrow_mut();
+        if x.rec.borrow().stopped {
+            return;
+        }
+        let op = if x.threads[thread as usize].reads_done < x.p.reads_per_req {
             let n = x.pages.len() as u64;
             let i = x.rng.below(n) as usize;
-            let f = x.pages[i];
-            let sz = x.p.page_size;
-            (
-                FileOp::Read {
-                    file: f,
-                    offset: 0,
-                    len: sz,
-                },
-                false,
-                sz,
-            )
+            FileOp::Read {
+                file: x.pages[i],
+                offset: 0,
+                len: x.p.page_size,
+            }
         } else {
             let off = x.log_off;
             let append = x.p.log_append;
             x.log_off = (x.log_off + append) % ((1 << 30) - append);
-            (
-                FileOp::Write {
-                    file: x.log,
-                    offset: off,
-                    len: append,
-                },
-                true,
-                append,
-            )
-        }
-    };
-    let st2 = Rc::clone(&st);
-    cl.submit_op(
-        s,
-        vm.machine,
-        vm.dom,
-        thread,
-        op,
-        Some(Box::new(move |cl, s, _| {
-            if is_last {
-                let now = s.now();
-                {
-                    let x = st2.borrow();
-                    // Whole-request latency: handling CPU + page reads +
-                    // log append. Payload counts all of them.
-                    let total = x.p.reads_per_req as u64 * x.p.page_size + x.p.log_append;
-                    let _ = bytes;
-                    x.rec
-                        .borrow_mut()
-                        .record(now, now.saturating_since(started), total);
-                }
-                ws_start(st2, cl, s, thread);
-            } else {
-                ws_cycle(st2, cl, s, thread, reads_done + 1, started);
+            FileOp::Write {
+                file: x.log,
+                offset: off,
+                len: append,
             }
-        })),
-    );
+        };
+        (x.vm, op)
+    };
+    let waiter = Waiter::new(st, thread as u64);
+    cl.submit_op(s, vm.machine, vm.dom, thread, op, Some(waiter));
+}
+
+impl OpHandler for Ws {
+    fn wake(self: Rc<Self>, cl: &mut Cluster, s: &mut Sched, token: u64, r: Option<OpResult>) {
+        let thread = token as u32;
+        if r.is_some() {
+            let mut x = self.0.borrow_mut();
+            let reads_per_req = x.p.reads_per_req;
+            let t = &mut x.threads[thread as usize];
+            if t.reads_done < reads_per_req {
+                t.reads_done += 1;
+            } else {
+                // The log append finished the request. Its latency covers
+                // handling CPU + page reads + log append, and so does its
+                // payload.
+                let started = t.started;
+                let now = s.now();
+                let total = reads_per_req as u64 * x.p.page_size + x.p.log_append;
+                x.rec
+                    .borrow_mut()
+                    .record(now, now.saturating_since(started), total);
+                drop(x);
+                ws_start(self, cl, s, thread);
+                return;
+            }
+        }
+        ws_cycle(self, cl, s, thread);
+    }
 }
 
 /// Video-server (VS) parameters: streaming readers plus one ingest writer.
@@ -456,7 +458,7 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
         vm.dom,
         reader,
         op,
-        Some(Box::new(move |cl, s, _| {
+        Some(Waiter::from_fn(move |cl, s, _| {
             let chunk = {
                 let x = st2.borrow();
                 x.p.chunk
@@ -471,7 +473,7 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
                 vm.dom,
                 reader,
                 cpu,
-                Box::new(move |cl, s| {
+                Waiter::from_fn(move |cl, s, _| {
                     let now = s.now();
                     {
                         let x = st3.borrow();
@@ -479,7 +481,7 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
                             .borrow_mut()
                             .record(now, now.saturating_since(started), chunk);
                     }
-                    vs_read(st3, cl, s, reader);
+                    vs_read(Rc::clone(&st3), cl, s, reader);
                 }),
             );
         })),
@@ -519,7 +521,7 @@ fn vs_ingest(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched) {
         vm.dom,
         0,
         op,
-        Some(Box::new(move |cl, s, _| {
+        Some(Waiter::from_fn(move |cl, s, _| {
             // Transcode/ingest CPU between chunks.
             let cpu = {
                 let x = st2.borrow();
@@ -532,8 +534,8 @@ fn vs_ingest(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched) {
                 vm.dom,
                 0,
                 cpu,
-                Box::new(move |cl, s| {
-                    vs_ingest(st3, cl, s);
+                Waiter::from_fn(move |cl, s, _| {
+                    vs_ingest(Rc::clone(&st3), cl, s);
                 }),
             );
         })),
@@ -631,7 +633,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
         vm.dom,
         vcpu,
         op,
-        Some(Box::new(move |cl, s, _| {
+        Some(Waiter::from_fn(move |cl, s, _| {
             let rsz = {
                 let x = st2.borrow();
                 x.p.read_size
@@ -644,7 +646,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
                 vm.dom,
                 vcpu,
                 copy,
-                Box::new(move |cl, s| {
+                Waiter::from_fn(move |cl, s, _| {
                     let now = s.now();
                     {
                         let x = st3.borrow();
@@ -652,7 +654,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
                             .borrow_mut()
                             .record(now, now.saturating_since(started), rsz);
                     }
-                    ms_read(st3, cl, s, stream);
+                    ms_read(Rc::clone(&st3), cl, s, stream);
                 }),
             );
         })),

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use iorch_guestos::{FileId, FileOp};
-use iorch_hypervisor::{Cluster, Sched};
+use iorch_hypervisor::{Cluster, OpHandler, OpResult, Sched, Waiter};
 use iorch_netsim::{Network, NodeId};
 use iorch_simcore::{SimDuration, SimRng, SimTime, Zipfian};
 
@@ -123,7 +123,7 @@ struct Node {
     net: Option<NodeId>,
 }
 
-struct Ycsb {
+struct YcsbState {
     p: YcsbParams,
     nodes: Vec<Node>,
     rng: SimRng,
@@ -134,9 +134,45 @@ struct Ycsb {
     completed: u64,
     next_coord: usize,
     next_vcpu: u32,
+    /// Requests in flight, indexed by token; `free_ops` lists the
+    /// reusable slots.
+    ops: Vec<Request>,
+    free_ops: Vec<u32>,
 }
 
-type Shared = Rc<RefCell<Ycsb>>;
+/// One request in flight.
+#[derive(Clone, Copy)]
+struct Request {
+    owner: usize,
+    coord: usize,
+    is_read: bool,
+    key: u64,
+    vcpu: u32,
+    arrival: SimTime,
+    /// The op in flight is the replica's commit-log write.
+    replicating: bool,
+}
+
+impl YcsbState {
+    fn alloc(&mut self, req: Request) -> u64 {
+        match self.free_ops.pop() {
+            Some(t) => {
+                self.ops[t as usize] = req;
+                t as u64
+            }
+            None => {
+                self.ops.push(req);
+                self.ops.len() as u64 - 1
+            }
+        }
+    }
+}
+
+/// The YCSB client: one handler for all requests; a wake's token is the
+/// request's slot in `YcsbState::ops`.
+struct Ycsb(RefCell<YcsbState>);
+
+type Shared = Rc<Ycsb>;
 
 /// Launch a YCSB client against a Cassandra-like store spanning `nodes`.
 /// Each node gets a data file, commit log and sstable region provisioned
@@ -184,7 +220,7 @@ pub fn spawn_ycsb(
             }
         })
         .collect();
-    let state = Rc::new(RefCell::new(Ycsb {
+    let state = Rc::new(Ycsb(RefCell::new(YcsbState {
         rng: SimRng::new(p.seed),
         zipf: Zipfian::new(p.records.max(2), p.zipf_theta),
         nodes,
@@ -194,8 +230,10 @@ pub fn spawn_ycsb(
         completed: 0,
         next_coord: 0,
         next_vcpu: 0,
+        ops: Vec::new(),
+        free_ops: Vec::new(),
         p,
-    }));
+    })));
     schedule_next_arrival(&state, s);
 }
 
@@ -222,7 +260,7 @@ fn current_rate(p: &YcsbParams, now: SimTime) -> f64 {
 fn schedule_next_arrival(state: &Shared, s: &mut Sched) {
     let st = Rc::clone(state);
     let (gap, stop) = {
-        let mut y = state.borrow_mut();
+        let mut y = state.0.borrow_mut();
         let stopped = y.rec.borrow().stopped || y.issued >= y.p.max_ops;
         let now = s.now();
         let rate = current_rate(&y.p, now).max(0.01);
@@ -252,7 +290,7 @@ fn schedule_next_arrival(state: &Shared, s: &mut Sched) {
 fn issue_op(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
     let arrival = s.now();
     let (coord_idx, owner_idx, is_read, key, vcpu) = {
-        let mut y = state.borrow_mut();
+        let mut y = state.0.borrow_mut();
         if y.rec.borrow().stopped || y.issued >= y.p.max_ops {
             return;
         }
@@ -273,7 +311,7 @@ fn issue_op(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
     // Forward hop if the owner is a different node on another machine.
     let st = Rc::clone(state);
     let hop = {
-        let y = state.borrow_mut();
+        let y = state.0.borrow_mut();
         let remote = owner_idx != coord_idx
             && y.nodes[owner_idx].vm.machine != y.nodes[coord_idx].vm.machine;
         if remote {
@@ -288,70 +326,43 @@ fn issue_op(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
             None
         }
     };
-    let run = move |cl: &mut Cluster, s: &mut Sched| {
-        run_on_owner(
-            &st, cl, s, owner_idx, coord_idx, is_read, key, vcpu, arrival,
-        );
-    };
+    let token = state.0.borrow_mut().alloc(Request {
+        owner: owner_idx,
+        coord: coord_idx,
+        is_read,
+        key,
+        vcpu,
+        arrival,
+        replicating: false,
+    });
     match hop {
         Some(at) => {
-            s.schedule_at(at, run);
+            s.schedule_at(at, move |cl, s| run_on_owner(st, cl, s, token));
         }
-        None => run(cl, s),
+        None => run_on_owner(st, cl, s, token),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_on_owner(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    is_read: bool,
-    key: u64,
-    vcpu: u32,
-    arrival: SimTime,
-) {
-    let (vm, cpu) = {
-        let y = state.borrow();
-        (y.nodes[owner_idx].vm, y.p.op_cpu)
+/// The owner node's request-handling CPU; the handler then does the I/O.
+fn run_on_owner(state: Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
+    let (vm, cpu, vcpu) = {
+        let y = state.0.borrow();
+        let req = y.ops[token as usize];
+        (y.nodes[req.owner].vm, y.p.op_cpu, req.vcpu)
     };
-    let st = Rc::clone(state);
-    cl.run_cpu(
-        s,
-        vm.machine,
-        vm.dom,
-        vcpu,
-        cpu,
-        Box::new(move |cl, s| {
-            do_io(
-                &st, cl, s, owner_idx, coord_idx, is_read, key, vcpu, arrival,
-            );
-        }),
-    );
+    cl.run_cpu(s, vm.machine, vm.dom, vcpu, cpu, Waiter::new(state, token));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn do_io(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    is_read: bool,
-    key: u64,
-    vcpu: u32,
-    arrival: SimTime,
-) {
-    let (vm, op) = {
-        let mut y = state.borrow_mut();
+/// The owner's storage op: a record read or a commit-log append.
+fn do_io(state: Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
+    let (vm, vcpu, op) = {
+        let mut y = state.0.borrow_mut();
+        let req = y.ops[token as usize];
         let n_nodes = y.nodes.len() as u64;
         let record = y.p.record_size;
-        let node = &mut y.nodes[owner_idx];
-        let vm = node.vm;
-        let op = if is_read {
-            let local_key = key / n_nodes;
+        let node = &mut y.nodes[req.owner];
+        let op = if req.is_read {
+            let local_key = req.key / n_nodes;
             let offset = (local_key * record) % node.data_size.max(record);
             FileOp::Read {
                 file: node.data,
@@ -367,57 +378,56 @@ fn do_io(
                 len: record,
             }
         };
-        (vm, op)
+        (node.vm, req.vcpu, op)
     };
-    let st = Rc::clone(state);
-    cl.submit_op(
-        s,
-        vm.machine,
-        vm.dom,
-        vcpu,
-        op,
-        Some(Box::new(move |cl, s, _r| {
-            finish_op(&st, cl, s, owner_idx, coord_idx, is_read, arrival);
-        })),
-    );
+    let waiter = Waiter::new(state, token);
+    cl.submit_op(s, vm.machine, vm.dom, vcpu, op, Some(waiter));
 }
 
-fn finish_op(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    is_read: bool,
-    arrival: SimTime,
-) {
+impl OpHandler for Ycsb {
+    fn wake(self: Rc<Self>, cl: &mut Cluster, s: &mut Sched, token: u64, r: Option<OpResult>) {
+        let req = self.0.borrow().ops[token as usize];
+        if r.is_none() {
+            do_io(self, cl, s, token);
+        } else if req.replicating {
+            // Ack back to the owner, then the normal response path.
+            let at = s.now() + self.0.borrow().p.ipc_delay;
+            s.schedule_at(at, move |cl, s| finish_read_path(&self, cl, s, token));
+        } else {
+            finish_op(self, cl, s, token);
+        }
+    }
+}
+
+fn finish_op(state: Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
     // Post-write bookkeeping: memtable accounting and flushes; updates on
     // a multi-node store additionally wait for the replica's commit-log
     // write (Cassandra replication factor 2, consistency ONE at the
     // replica set).
-    if !is_read {
-        let waits_for_replica = after_update(state, cl, s, owner_idx, coord_idx, arrival);
+    if !state.0.borrow().ops[token as usize].is_read {
+        let waits_for_replica = after_update(&state, cl, s, token);
         if waits_for_replica {
             return; // the replica ack path finishes the op
         }
     }
-    finish_read_path(state, cl, s, owner_idx, coord_idx, arrival);
+    finish_read_path(&state, cl, s, token);
 }
 
 /// Response hop back to the coordinator (if forwarded), then record.
-fn finish_read_path(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    arrival: SimTime,
-) {
-    let hop_back = {
-        let y = state.borrow_mut();
+/// Retires the request's token.
+fn finish_read_path(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
+    let (hop_back, arrival) = {
+        let mut y = state.0.borrow_mut();
+        let Request {
+            owner: owner_idx,
+            coord: coord_idx,
+            arrival,
+            ..
+        } = y.ops[token as usize];
+        y.free_ops.push(token as u32);
         let remote = owner_idx != coord_idx
             && y.nodes[owner_idx].vm.machine != y.nodes[coord_idx].vm.machine;
-        if remote {
+        let hop_back = if remote {
             let (src, dst) = (y.nodes[owner_idx].net, y.nodes[coord_idx].net);
             if let (Some(net), Some(src), Some(dst)) = (y.net.clone(), src, dst) {
                 let record = y.p.record_size;
@@ -427,11 +437,12 @@ fn finish_read_path(
             }
         } else {
             None
-        }
+        };
+        (hop_back, arrival)
     };
     let st = Rc::clone(state);
     let record_done = move |_cl: &mut Cluster, s: &mut Sched| {
-        let mut y = st.borrow_mut();
+        let mut y = st.0.borrow_mut();
         let now = s.now();
         let bytes = y.p.record_size;
         y.rec
@@ -450,18 +461,12 @@ fn finish_read_path(
     }
 }
 
-fn after_update(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    arrival: SimTime,
-) -> bool {
+fn after_update(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64) -> bool {
     // Memtable fill; flush as a big sequential sstable write + sync when
     // the threshold is crossed.
+    let owner_idx = state.0.borrow().ops[token as usize].owner;
     let flush = {
-        let mut y = state.borrow_mut();
+        let mut y = state.0.borrow_mut();
         let record = y.p.record_size;
         let threshold = y.p.memtable_flush_bytes;
         let data_size = y.nodes[owner_idx].data_size;
@@ -492,7 +497,7 @@ fn after_update(
     // Synchronous replication to the next node of the store: the update
     // acks only once the replica has the commit-log write.
     let repl = {
-        let mut y = state.borrow_mut();
+        let mut y = state.0.borrow_mut();
         if y.nodes.len() > 1 {
             let record = y.p.record_size;
             let next = (owner_idx + 1) % y.nodes.len();
@@ -507,51 +512,25 @@ fn after_update(
                 }
                 _ => s.now() + ipc,
             };
+            y.ops[token as usize].replicating = true;
             let node = &mut y.nodes[next];
             let off = node.commit_off;
             node.commit_off = (node.commit_off + record) % (node.commitlog_size - record);
-            Some((node.vm, node.commitlog, off, record, hop, ipc))
+            Some((node.vm, node.commitlog, off, record, hop))
         } else {
             None
         }
     };
-    if let Some((vm, file, offset, len, hop, ipc)) = repl {
+    if let Some((vm, file, offset, len, hop)) = repl {
         let st = Rc::clone(state);
         s.schedule_at(hop, move |cl, s| {
-            let st2 = Rc::clone(&st);
-            cl.submit_op(
-                s,
-                vm.machine,
-                vm.dom,
-                1,
-                FileOp::Write { file, offset, len },
-                Some(Box::new(move |cl, s, _| {
-                    // Ack back to the owner, then the normal response path.
-                    let at = s.now() + ipc;
-                    let st3 = Rc::clone(&st2);
-                    s.schedule_at(at, move |cl, s| {
-                        replica_acked(&st3, cl, s, owner_idx, coord_idx, arrival);
-                    });
-                    let _ = cl;
-                })),
-            );
+            let op = FileOp::Write { file, offset, len };
+            cl.submit_op(s, vm.machine, vm.dom, 1, op, Some(Waiter::new(st, token)));
         });
         true
     } else {
         false
     }
-}
-
-/// The replica persisted the update: run the response hop + recording.
-fn replica_acked(
-    state: &Shared,
-    cl: &mut Cluster,
-    s: &mut Sched,
-    owner_idx: usize,
-    coord_idx: usize,
-    arrival: SimTime,
-) {
-    finish_read_path(state, cl, s, owner_idx, coord_idx, arrival);
 }
 
 #[cfg(test)]
