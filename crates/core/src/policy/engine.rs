@@ -1547,7 +1547,8 @@ mod tests {
     /// destroy+create cycles with a plane crash and recovery in the
     /// middle. Every per-domain structure — store nodes and watches, the
     /// store's per-domain maps, the machine's per-domain maps and slot
-    /// space, I/O-core DRR state, and the engine slab — must return
+    /// space, I/O-core DRR state, the host queue's per-stream entries and
+    /// the engine slab — must return
     /// exactly to its pre-churn size once traffic quiesces.
     #[test]
     fn churn_soak_returns_every_per_domain_structure_to_its_pre_churn_size() {
@@ -1603,7 +1604,8 @@ mod tests {
             [usize; 5],
             [usize; 2],
             usize,
-            Vec<[usize; 4]>,
+            Vec<[usize; 2]>,
+            [usize; 2],
             [usize; 6],
         );
         fn sizes(cl: &Cluster, idx: usize, engine: &PolicyEngine) -> Sizes {
@@ -1618,6 +1620,7 @@ mod tests {
                 m.domain_entries(),
                 m.slot_count(),
                 m.iocores.iter().map(|c| c.domain_entries()).collect(),
+                m.storage.stream_entries(),
                 engine.slab.occupancy(),
             )
         }

@@ -8,10 +8,10 @@
 //! request costs a fixed poll/handling overhead plus the grant-copy of its
 //! payload — slower when the data lives on a remote socket.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use iorch_simcore::trace::TraceEventKind;
-use iorch_simcore::{trace_event, SimDuration, SimTime};
+use iorch_simcore::{trace_event, IdMap, SimDuration, SimTime};
 use iorch_storage::IoRequest;
 
 use crate::domain::DomainId;
@@ -55,15 +55,28 @@ struct InProcess {
     enqueued: SimTime,
 }
 
+/// One VM's DRR state on a core.
+#[derive(Clone, Debug)]
+struct DrrDomain {
+    /// The VM's request buffer `B_i`.
+    buf: VecDeque<Buffered>,
+    /// Its credit `C_i`.
+    credit: u64,
+    /// Its quantum `Q_i`.
+    quantum: u64,
+    /// Whether the VM waits in the rotation.
+    in_rotation: bool,
+}
+
 /// One dedicated polling I/O core.
 #[derive(Clone, Debug)]
 pub struct IoCore {
     socket: usize,
     core: CoreId,
     params: IoCoreParams,
-    buffers: BTreeMap<DomainId, VecDeque<Buffered>>,
-    credits: BTreeMap<DomainId, u64>,
-    quanta: BTreeMap<DomainId, u64>,
+    /// DRR state of every VM that buffered a request or had its quantum
+    /// set, until [`IoCore::remove_domain`].
+    doms: IdMap<DomainId, DrrDomain>,
     /// Round-robin order of domains with buffered work.
     rotation: VecDeque<DomainId>,
     current: Option<DomainId>,
@@ -79,9 +92,7 @@ impl IoCore {
             socket,
             core,
             params,
-            buffers: BTreeMap::new(),
-            credits: BTreeMap::new(),
-            quanta: BTreeMap::new(),
+            doms: IdMap::default(),
             rotation: VecDeque::new(),
             current: None,
             in_process: None,
@@ -100,18 +111,27 @@ impl IoCore {
         self.core
     }
 
+    fn dom_mut(&mut self, dom: DomainId) -> &mut DrrDomain {
+        let quantum = self.params.default_quantum;
+        self.doms.entry(dom).or_insert_with(|| DrrDomain {
+            buf: VecDeque::new(),
+            credit: 0,
+            quantum,
+            in_rotation: false,
+        })
+    }
+
     /// Set a VM's quantum (Q_i = BW_max · share). IOrchestra updates this
     /// from the system store; SDC leaves all quanta equal.
     pub fn set_quantum(&mut self, dom: DomainId, bytes: u64) {
-        self.quanta.insert(dom, bytes.max(4096));
+        self.dom_mut(dom).quantum = bytes.max(4096);
     }
 
     /// Current quantum for a VM.
     pub fn quantum(&self, dom: DomainId) -> u64 {
-        self.quanta
+        self.doms
             .get(&dom)
-            .copied()
-            .unwrap_or(self.params.default_quantum)
+            .map_or(self.params.default_quantum, |d| d.quantum)
     }
 
     /// Is the core currently processing a request?
@@ -121,12 +141,12 @@ impl IoCore {
 
     /// Total buffered requests across all VMs.
     pub fn backlog(&self) -> usize {
-        self.buffers.values().map(|b| b.len()).sum()
+        self.doms.values().map(|d| d.buf.len()).sum()
     }
 
     /// Buffered requests for one VM.
     pub fn backlog_of(&self, dom: DomainId) -> usize {
-        self.buffers.get(&dom).map_or(0, |b| b.len())
+        self.doms.get(&dom).map_or(0, |d| d.buf.len())
     }
 
     /// EWMA of request latency through this core (the `L_i` of §3.3).
@@ -139,28 +159,25 @@ impl IoCore {
         self.processed
     }
 
-    /// Entries in the DRR state: per-VM buffers, credits, quanta and the
-    /// rotation. [`IoCore::remove_domain`] drops a VM from all four.
-    pub fn domain_entries(&self) -> [usize; 4] {
-        [
-            self.buffers.len(),
-            self.credits.len(),
-            self.quanta.len(),
-            self.rotation.len(),
-        ]
+    /// Entries in the DRR state: per-VM records (buffer, credit, quantum)
+    /// and the rotation. [`IoCore::remove_domain`] drops a VM from both.
+    pub fn domain_entries(&self) -> [usize; 2] {
+        [self.doms.len(), self.rotation.len()]
     }
 
     /// Enqueue a request into a VM's buffer. `remote` marks a payload on a
     /// different socket than this core.
     pub fn enqueue(&mut self, dom: DomainId, req: IoRequest, remote: bool, now: SimTime) {
-        let buf = self.buffers.entry(dom).or_default();
-        let newly_active = buf.is_empty();
-        buf.push_back(Buffered {
+        let current = self.current;
+        let d = self.dom_mut(dom);
+        let newly_active = d.buf.is_empty();
+        d.buf.push_back(Buffered {
             req,
             remote,
             enqueued: now,
         });
-        if newly_active && self.current != Some(dom) && !self.rotation.contains(&dom) {
+        if newly_active && current != Some(dom) && !d.in_rotation {
+            d.in_rotation = true;
             self.rotation.push_back(dom);
         }
     }
@@ -174,42 +191,44 @@ impl IoCore {
         // Bounded DRR scan: each rotation pass adds one quantum per domain,
         // so any finite request eventually fits.
         for _ in 0..10_000 {
-            let dom = match self.current {
-                Some(d) => d,
+            let (dom, d) = match self.current {
+                Some(dom) => (
+                    dom,
+                    self.doms.get_mut(&dom).expect("current VM has a record"),
+                ),
                 None => {
-                    let d = self.rotation.pop_front()?;
+                    let dom = self.rotation.pop_front()?;
+                    let d = self.doms.get_mut(&dom).expect("rotating VM has a record");
+                    d.in_rotation = false;
                     // Visiting a domain refills its credit: C_i += Q_i.
-                    let q = self.quantum(d);
-                    let c = self.credits.entry(d).or_insert(0);
-                    *c += q;
+                    d.credit += d.quantum;
                     trace_event!(
                         now,
                         TraceEventKind::DrrVisit {
                             core: self.core.0 as u32,
-                            dom: d.0,
-                            credit: *c,
+                            dom: dom.0,
+                            credit: d.credit,
                         }
                     );
-                    self.current = Some(d);
-                    d
+                    self.current = Some(dom);
+                    (dom, d)
                 }
             };
-            let buf = self.buffers.entry(dom).or_default();
-            let Some(front) = buf.front().copied() else {
+            let Some(front) = d.buf.front().copied() else {
                 // B_i empty -> C_i = 0, move on.
-                self.credits.insert(dom, 0);
+                d.credit = 0;
                 self.current = None;
                 continue;
             };
-            let credit = self.credits.get(&dom).copied().unwrap_or(0);
-            if front.req.len <= credit {
-                buf.pop_front();
-                self.credits.insert(dom, credit - front.req.len);
-                if buf.is_empty() {
+            if front.req.len <= d.credit {
+                d.buf.pop_front();
+                d.credit -= front.req.len;
+                if d.buf.is_empty() {
                     // Emptied by this pop: C_i = 0 and leave the rotation.
-                    self.credits.insert(dom, 0);
+                    d.credit = 0;
                     self.current = None;
-                } else if self.credits[&dom] == 0 {
+                } else if d.credit == 0 {
+                    d.in_rotation = true;
                     self.rotation.push_back(dom);
                     self.current = None;
                 }
@@ -229,6 +248,7 @@ impl IoCore {
             }
             // Credit insufficient: break to the next domain in the round,
             // banking the credit (classic deficit round-robin).
+            d.in_rotation = true;
             self.rotation.push_back(dom);
             self.current = None;
         }
@@ -251,18 +271,19 @@ impl IoCore {
         (ip.dom, ip.req)
     }
 
-    /// Remove a VM (teardown), returning any still-buffered requests.
-    pub fn remove_domain(&mut self, dom: DomainId) -> Vec<IoRequest> {
-        self.rotation.retain(|&d| d != dom);
+    /// Remove a VM (teardown). Returns how many buffered requests were
+    /// dropped; a request already in process still finishes.
+    pub fn remove_domain(&mut self, dom: DomainId) -> usize {
         if self.current == Some(dom) {
             self.current = None;
         }
-        self.credits.remove(&dom);
-        self.quanta.remove(&dom);
-        self.buffers
-            .remove(&dom)
-            .map(|b| b.into_iter().map(|x| x.req).collect())
-            .unwrap_or_default()
+        let Some(d) = self.doms.remove(&dom) else {
+            return 0;
+        };
+        if d.in_rotation {
+            self.rotation.retain(|&r| r != dom);
+        }
+        d.buf.len()
     }
 }
 
@@ -338,7 +359,7 @@ mod tests {
         }
         // Process 24 requests; expect ~3:1 split.
         let mut now = SimTime::ZERO;
-        let mut counts = BTreeMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for _ in 0..24 {
             let done = core.start_next(now).unwrap();
             now = done;
@@ -401,8 +422,7 @@ mod tests {
         for i in 0..3 {
             core.enqueue(DomainId(5), req(i, 4096), false, SimTime::ZERO);
         }
-        let dropped = core.remove_domain(DomainId(5));
-        assert_eq!(dropped.len(), 3);
+        assert_eq!(core.remove_domain(DomainId(5)), 3);
         assert_eq!(core.backlog(), 0);
         assert!(core.start_next(SimTime::ZERO).is_none());
     }

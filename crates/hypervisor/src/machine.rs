@@ -341,7 +341,21 @@ pub struct Machine {
     slot_free: Vec<usize>,
     vdisk_cursor: u64,
     control: Option<Box<dyn ControlPlane>>,
+    /// Instant of the device event that will do the next completions;
+    /// `MAX` while the device is idle.
     device_event_at: SimTime,
+    /// Instants that have a device event scheduled, latest first. A
+    /// submit that moves the next completion earlier schedules a new
+    /// event but leaves the later one pending. That event does the work
+    /// at its instant, so no second event is scheduled there.
+    device_pending: Vec<SimTime>,
+    /// Device events fired, and those of them that completed nothing.
+    device_events_fired: u64,
+    device_events_idle: u64,
+    /// Reused buffer of one device event's completions.
+    done_spare: Vec<IoRequest>,
+    /// Reused buffer of one backend wake's ring batch.
+    ring_spare: Vec<(IoRequest, SimTime)>,
     pending_signals: VecDeque<(DomainId, KernelSignal)>,
     pending_results: Vec<(OpResult, Option<Waiter>)>,
     /// Drained kernel-output buffers, swapped with a kernel's outputs by
@@ -588,10 +602,10 @@ impl Cluster {
             return;
         };
         let d = m.domains[slot as usize].as_mut().expect("live slot");
-        let batch = d.ring.drain(usize::MAX);
-        let mut submit_times = Vec::with_capacity(batch.len());
+        let mut batch = std::mem::take(&mut m.ring_spare);
+        d.ring.drain(usize::MAX, &mut batch);
         let mut total_cpu = SimDuration::ZERO;
-        for (req, _pushed) in &batch {
+        for (req, _pushed) in batch.drain(..) {
             let cost = m.cfg.timing.backend_per_req
                 + SimDuration::from_secs_f64(req.len as f64 / m.cfg.timing.backend_copy_bw as f64);
             let mut start = d.backend_busy_until.max(now);
@@ -617,18 +631,16 @@ impl Cluster {
             }
             d.backend_busy_until = start + cost;
             total_cpu += cost;
-            submit_times.push((d.backend_busy_until, *req));
+            s.schedule_at(d.backend_busy_until, move |cl: &mut Cluster, s| {
+                Cluster::host_submit(cl, idx, s, req);
+            });
         }
+        m.ring_spare = batch;
         // Backend kthread burns shared-core CPU (the overhead SDC removes)
         // and delays co-resident VCPU work.
         let core = d.cores[0];
         m.cpu.record_busy(core, total_cpu);
         m.core_busy[core.0] = m.core_busy[core.0].max(now) + total_cpu;
-        for (at, req) in submit_times {
-            s.schedule_at(at, move |cl: &mut Cluster, s| {
-                Cluster::host_submit(cl, idx, s, req);
-            });
-        }
     }
 
     fn host_submit(cl: &mut Cluster, idx: usize, s: &mut Sched, req: IoRequest) {
@@ -637,16 +649,30 @@ impl Cluster {
         m.ensure_device_event(s);
     }
 
+    /// A device event at `now`. Only the event at `device_event_at`
+    /// completes requests; any other returns without touching state.
     fn device_event(cl: &mut Cluster, idx: usize, s: &mut Sched) {
         let now = s.now();
         let m = &mut cl.machines[idx];
+        m.device_events_fired += 1;
+        if let Some(i) = m.device_pending.iter().rposition(|&t| t == now) {
+            m.device_pending.remove(i);
+        }
+        if now != m.device_event_at {
+            m.device_events_idle += 1;
+            return;
+        }
         m.device_event_at = SimTime::MAX;
-        let done = m.storage.complete_due(now);
+        let mut done = std::mem::take(&mut m.done_spare);
+        m.storage.complete_due(now, &mut done);
+        if done.is_empty() {
+            m.device_events_idle += 1;
+        }
         let delay = match m.cfg.io_mode {
             IoPathMode::Paravirt => m.cfg.timing.irq_latency,
             IoPathMode::DedicatedCores { .. } => m.cfg.timing.polled_completion_latency,
         };
-        for req in done {
+        for req in done.drain(..) {
             // A guest's stream id is its domain id.
             let dom = DomainId(req.stream.0);
             if m.slot_by_id.contains_key(&dom) {
@@ -655,6 +681,7 @@ impl Cluster {
                 });
             }
         }
+        m.done_spare = done;
         m.ensure_device_event(s);
     }
 
@@ -803,6 +830,11 @@ impl Machine {
             vdisk_cursor: 0,
             control: None,
             device_event_at: SimTime::MAX,
+            device_pending: Vec::new(),
+            device_events_fired: 0,
+            device_events_idle: 0,
+            done_spare: Vec::new(),
+            ring_spare: Vec::new(),
             pending_signals: VecDeque::new(),
             pending_results: Vec::new(),
             out_spare: KernelOutputs::default(),
@@ -874,6 +906,16 @@ impl Machine {
     /// equal to the live domain count.
     pub fn domain_entries(&self) -> [usize; 2] {
         [self.domains.iter().flatten().count(), self.slot_by_id.len()]
+    }
+
+    /// Device events fired so far.
+    pub fn device_events_fired(&self) -> u64 {
+        self.device_events_fired
+    }
+
+    /// Device events that fired and completed nothing.
+    pub fn device_events_idle(&self) -> u64 {
+        self.device_events_idle
     }
 
     /// Capacity snapshot a cluster placement layer scores against: static
@@ -1197,14 +1239,22 @@ impl Machine {
         }
     }
 
+    /// Point `device_event_at` at the next completion, scheduling an
+    /// event there unless one is already pending. Never cancel and
+    /// reschedule: the event that works at an instant must be the one
+    /// scheduled first for it, or its order against other events at that
+    /// instant (I/O-core finishes, host submits) would change.
     fn ensure_device_event(&mut self, s: &mut Sched) {
         let idx = self.idx;
         if let Some(next) = self.storage.next_completion() {
             if next < self.device_event_at {
                 self.device_event_at = next;
-                s.schedule_at(next, move |cl: &mut Cluster, s| {
-                    Cluster::device_event(cl, idx, s);
-                });
+                if !self.device_pending.contains(&next) {
+                    self.device_pending.push(next);
+                    s.schedule_at(next, move |cl: &mut Cluster, s| {
+                        Cluster::device_event(cl, idx, s);
+                    });
+                }
             }
         }
     }
@@ -1627,6 +1677,72 @@ mod tests {
             t2.saturating_since(start) < SimDuration::from_millis(11),
             "t2={t2:?}"
         );
+    }
+
+    /// A saturated device: 600 striped requests with service noise,
+    /// submitted on a 5 µs grid so submits share instants with each other
+    /// and with completions, against 32 channels. Submits that move the
+    /// next completion earlier leave later events pending. Every device
+    /// event must still complete something, and no instant may ever have
+    /// two device events pending.
+    #[test]
+    fn saturated_device_fires_one_working_event_per_instant() {
+        use iorch_storage::{IoKind, RequestId};
+
+        let (mut sim, idx) = sim_with(IoPathMode::DedicatedCores { per_socket: true });
+        let mut rng = SimRng::new(19);
+        let n = 600;
+        let (_, s) = sim.parts_mut();
+        for i in 0..n {
+            let at = SimTime::from_micros(5 * rng.below(400));
+            // No live domain owns the stream, so completions stop at the
+            // device and only the device path runs.
+            let req = IoRequest {
+                id: RequestId(i),
+                kind: if i % 4 == 0 {
+                    IoKind::Write
+                } else {
+                    IoKind::Read
+                },
+                stream: StreamId(9_999),
+                offset: rng.below(1 << 20) * 4096,
+                len: 4096 * (1 + rng.below(64)),
+                submitted: at,
+            };
+            s.schedule_at(at, move |cl: &mut Cluster, s| {
+                Cluster::host_submit(cl, idx, s, req);
+            });
+        }
+        let (mut max_queued, mut max_pending) = (0, 0);
+        while sim.step() {
+            let m = sim.world().machine(idx);
+            max_queued = max_queued.max(m.storage.queue_depth());
+            max_pending = max_pending.max(m.device_pending.len());
+            assert!(
+                m.device_pending.windows(2).all(|w| w[0] > w[1]),
+                "pending device instants repeat or are out of order: {:?}",
+                m.device_pending
+            );
+            assert_eq!(
+                m.device_pending.last().copied().unwrap_or(SimTime::MAX),
+                m.device_event_at
+            );
+        }
+        let m = sim.world().machine(idx);
+        let (reads, writes) = m.storage.monitor().op_counts();
+        assert_eq!(reads + writes, n);
+        assert!(
+            max_queued > 0,
+            "more requests than channels were outstanding"
+        );
+        assert!(max_pending >= 2, "some submit superseded a pending event");
+        assert!(m.device_events_fired() > 0);
+        assert_eq!(
+            m.device_events_idle(),
+            0,
+            "a device event completed nothing"
+        );
+        assert!(m.device_pending.is_empty());
     }
 
     #[test]

@@ -81,15 +81,15 @@ impl Ring {
         }
     }
 
-    /// Backend drains up to `max` requests. When the ring empties the
-    /// backend goes back to sleep (the next push needs a doorbell).
-    pub fn drain(&mut self, max: usize) -> Vec<(IoRequest, SimTime)> {
+    /// Backend drains up to `max` requests, with their push times, into
+    /// `out`. When the ring empties the backend goes back to sleep (the
+    /// next push needs a doorbell).
+    pub fn drain(&mut self, max: usize, out: &mut Vec<(IoRequest, SimTime)>) {
         let n = max.min(self.q.len());
-        let batch: Vec<_> = self.q.drain(..n).collect();
+        out.extend(self.q.drain(..n));
         if self.q.is_empty() {
             self.backend_active = false;
         }
-        batch
     }
 }
 
@@ -123,7 +123,8 @@ mod tests {
         let mut r = Ring::new(8);
         r.push(req(0), SimTime::ZERO);
         r.push(req(1), SimTime::ZERO);
-        let batch = r.drain(10);
+        let mut batch = Vec::new();
+        r.drain(10, &mut batch);
         assert_eq!(batch.len(), 2);
         assert!(r.is_empty());
         // Backend slept again: next push needs a new doorbell.
@@ -137,7 +138,8 @@ mod tests {
         for i in 0..4 {
             r.push(req(i), SimTime::ZERO);
         }
-        let batch = r.drain(2);
+        let mut batch = Vec::new();
+        r.drain(2, &mut batch);
         assert_eq!(batch.len(), 2);
         // Still active: pushes stay silent.
         assert_eq!(r.push(req(9), SimTime::ZERO), RingPush::Queued);

@@ -62,7 +62,13 @@ pub struct StorageSubsystem {
     device: Box<dyn DeviceModel>,
     queue: WfqQueue,
     channels: Vec<Slot>,
-    busy_count: usize,
+    /// Bit `c` is set while channel `c` is idle. Dispatch takes the lowest
+    /// set bits, so a request's primary channel is the lowest idle index.
+    idle: u64,
+    /// Bits of every channel the device has.
+    all: u64,
+    /// Reused by `complete_due` to sort one instant's completions.
+    done_spare: Vec<(SimTime, IoRequest)>,
     monitor: DeviceMonitor,
     params: SubsystemParams,
     rng: SimRng,
@@ -72,15 +78,22 @@ pub struct StorageSubsystem {
 }
 
 impl StorageSubsystem {
-    /// Wrap a device model.
+    /// Wrap a device model with at most 64 channels.
     pub fn new(device: Box<dyn DeviceModel>, params: SubsystemParams, rng: SimRng) -> Self {
         let channels = device.channels();
+        assert!(
+            (1..=64).contains(&channels),
+            "the channel bitmask holds 1..=64 channels, not {channels}"
+        );
+        let all = u64::MAX >> (64 - channels);
         let monitor = DeviceMonitor::new(device.max_bandwidth(), channels, params.monitor_window);
         StorageSubsystem {
             device,
             queue: WfqQueue::new(),
             channels: vec![Slot::Idle; channels],
-            busy_count: 0,
+            idle: all,
+            all,
+            done_spare: Vec::new(),
             monitor,
             params,
             rng,
@@ -125,19 +138,13 @@ impl StorageSubsystem {
     /// bandwidth is conserved.
     fn kick(&mut self, now: SimTime) {
         let mut changed = false;
-        loop {
-            let idle: Vec<usize> = (0..self.channels.len())
-                .filter(|&c| matches!(self.channels[c], Slot::Idle))
-                .collect();
-            if idle.is_empty() {
-                break;
-            }
+        while self.idle != 0 {
             let Some(req) = self.queue.dequeue() else {
                 break;
             };
             let want = self.device.parallelism(&req).max(1);
-            let k = want.min(idle.len());
-            let primary = idle[0];
+            let k = want.min(self.idle.count_ones() as usize);
+            let primary = self.idle.trailing_zeros() as usize;
             let service = self.device.service_time_k(primary, &req, k, &mut self.rng);
             let mut done_at = now + service;
             if let Some(plan) = &self.faults {
@@ -160,63 +167,79 @@ impl StorageSubsystem {
                 }
             );
             self.channels[primary] = Slot::Primary(InFlight { req, done_at });
-            for &c in idle.iter().take(k).skip(1) {
-                self.channels[c] = Slot::Reserved(done_at);
+            self.idle &= self.idle - 1;
+            for _ in 1..k {
+                self.channels[self.idle.trailing_zeros() as usize] = Slot::Reserved(done_at);
+                self.idle &= self.idle - 1;
             }
-            self.busy_count += k;
             changed = true;
         }
         if changed {
-            self.monitor.on_busy_channels(now, self.busy_count);
+            self.monitor.on_busy_channels(now, self.in_flight());
         }
+    }
+
+    /// Busy channels (primary or reserved) as a bitmask.
+    fn busy(&self) -> u64 {
+        self.all & !self.idle
     }
 
     /// Earliest pending completion, if any — the machine schedules its next
     /// device event here.
     pub fn next_completion(&self) -> Option<SimTime> {
-        self.channels
-            .iter()
-            .filter_map(|slot| match slot {
-                Slot::Primary(f) => Some(f.done_at),
-                Slot::Reserved(t) => Some(*t),
-                Slot::Idle => None,
-            })
-            .min()
+        let mut next = None;
+        let mut busy = self.busy();
+        while busy != 0 {
+            let t = match self.channels[busy.trailing_zeros() as usize] {
+                Slot::Primary(f) => f.done_at,
+                Slot::Reserved(t) => t,
+                Slot::Idle => unreachable!("a busy bit marks a busy slot"),
+            };
+            next = Some(next.map_or(t, |n: SimTime| n.min(t)));
+            busy &= busy - 1;
+        }
+        next
     }
 
     /// Complete everything due at or before `now`, then refill channels.
-    /// Returns completed requests in completion-time order.
-    pub fn complete_due(&mut self, now: SimTime) -> Vec<IoRequest> {
-        let mut done: Vec<(SimTime, IoRequest)> = Vec::new();
-        for slot in &mut self.channels {
-            match *slot {
+    /// Appends the completed requests to `out` in completion-time order
+    /// (ties by request id, then by channel).
+    pub fn complete_due(&mut self, now: SimTime, out: &mut Vec<IoRequest>) {
+        let mut done = std::mem::take(&mut self.done_spare);
+        let mut busy = self.busy();
+        while busy != 0 {
+            let c = busy.trailing_zeros() as usize;
+            busy &= busy - 1;
+            let finished = match self.channels[c] {
                 Slot::Primary(inflight) if inflight.done_at <= now => {
                     done.push((inflight.done_at, inflight.req));
-                    *slot = Slot::Idle;
-                    self.busy_count -= 1;
+                    true
                 }
-                Slot::Reserved(t) if t <= now => {
-                    *slot = Slot::Idle;
-                    self.busy_count -= 1;
-                }
-                _ => {}
+                Slot::Reserved(t) => t <= now,
+                _ => false,
+            };
+            if finished {
+                self.channels[c] = Slot::Idle;
+                self.idle |= 1 << c;
             }
         }
         done.sort_by_key(|&(t, r)| (t, r.id));
-        for (t, req) in &done {
-            self.monitor.on_complete(*t, req);
+        for &(t, req) in &done {
+            self.monitor.on_complete(t, &req);
             trace_event!(
-                *t,
+                t,
                 TraceEventKind::DeviceComplete {
                     req: req.id.0,
                     dom: req.stream.0,
                     latency_us: t.saturating_since(req.submitted).as_micros(),
                 }
             );
+            out.push(req);
         }
-        self.monitor.on_busy_channels(now, self.busy_count);
+        done.clear();
+        self.done_spare = done;
+        self.monitor.on_busy_channels(now, self.in_flight());
         self.kick(now);
-        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Number of requests waiting in the host queue (not yet on a channel).
@@ -224,9 +247,10 @@ impl StorageSubsystem {
         self.queue.len()
     }
 
-    /// Number of requests in flight on device channels.
+    /// Busy device channels: each in-flight request's primary channel
+    /// plus the stripe lanes it reserved.
     pub fn in_flight(&self) -> usize {
-        self.busy_count
+        self.busy().count_ones() as usize
     }
 
     /// Total requests accepted (including those later merged away).
@@ -249,7 +273,14 @@ impl StorageSubsystem {
     /// Drop all queued (not yet in-flight) requests of a stream — VM
     /// teardown. Returns how many were dropped.
     pub fn drain_stream(&mut self, stream: StreamId) -> usize {
-        self.queue.drain_stream(stream).len()
+        self.queue.drain_stream(stream)
+    }
+
+    /// The host queue's per-stream entries: `[weights, backlogged
+    /// streams]`. Teardown ([`StorageSubsystem::drain_stream`]) frees a
+    /// stream's entries, so both stay bounded by the live streams.
+    pub fn stream_entries(&self) -> [usize; 2] {
+        self.queue.stream_entries()
     }
 
     /// Monitoring signals (bandwidth fraction, utilization, counters).
@@ -290,6 +321,12 @@ mod tests {
         )
     }
 
+    fn complete(sub: &mut StorageSubsystem, now: SimTime) -> Vec<IoRequest> {
+        let mut out = Vec::new();
+        sub.complete_due(now, &mut out);
+        out
+    }
+
     fn req(id: u64, stream: u32, offset: u64, len: u64) -> IoRequest {
         IoRequest {
             id: RequestId(id),
@@ -307,10 +344,8 @@ mod tests {
         sub.submit(req(0, 1, 0, 4096), SimTime::ZERO);
         let done_at = sub.next_completion().unwrap();
         assert!(done_at > SimTime::ZERO);
-        assert!(sub
-            .complete_due(done_at - SimDuration::from_nanos(1))
-            .is_empty());
-        let done = sub.complete_due(done_at);
+        assert!(complete(&mut sub, done_at - SimDuration::from_nanos(1)).is_empty());
+        let done = complete(&mut sub, done_at);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, RequestId(0));
         assert_eq!(sub.in_flight(), 0);
@@ -328,7 +363,7 @@ mod tests {
         assert_eq!(sub.queue_depth(), 0);
         let t = sub.next_completion().unwrap();
         // All four should complete at the same (noise-free) time.
-        let done = sub.complete_due(t);
+        let done = complete(&mut sub, t);
         assert_eq!(done.len(), 4);
     }
 
@@ -342,7 +377,7 @@ mod tests {
         assert_eq!(sub.queue_depth(), 8);
         // Completing frees channels and pulls more work in.
         let t = sub.next_completion().unwrap();
-        sub.complete_due(t);
+        complete(&mut sub, t);
         assert_eq!(sub.in_flight(), 2);
         assert_eq!(sub.queue_depth(), 6);
     }
@@ -393,7 +428,7 @@ mod tests {
         let mut completions: Vec<(usize, u32)> = Vec::new();
         let mut idx = 0;
         while let Some(t) = sub.next_completion() {
-            for done in sub.complete_due(t) {
+            for done in complete(&mut sub, t) {
                 completions.push((idx, done.stream.0));
                 idx += 1;
             }
@@ -455,7 +490,7 @@ mod tests {
         ));
         sub.submit(req(0, 1, 0, 4096), SimTime::ZERO);
         assert_eq!(sub.next_completion().unwrap(), stall_end);
-        assert_eq!(sub.complete_due(stall_end).len(), 1);
+        assert_eq!(complete(&mut sub, stall_end).len(), 1);
         // Work dispatched after the window services normally.
         sub.submit(req(1, 1, 10 << 20, 4096), stall_end);
         assert!(sub.next_completion().unwrap() < stall_end + SimDuration::from_millis(1));
@@ -466,7 +501,7 @@ mod tests {
         let mut sub = quiet_subsystem(1);
         sub.submit(req(0, 1, 0, 8192), SimTime::ZERO);
         let t = sub.next_completion().unwrap();
-        sub.complete_due(t);
+        complete(&mut sub, t);
         assert_eq!(sub.monitor().op_counts(), (1, 0));
         assert_eq!(sub.monitor().byte_counts(), (8192, 0));
     }

@@ -5,7 +5,11 @@
 //! Start-time fair queueing with virtual time: each stream's backlog is
 //! served in proportion to its weight over any busy interval.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
+
+use iorch_simcore::IdMap;
 
 use crate::request::{IoRequest, StreamId};
 
@@ -19,12 +23,29 @@ struct Entry {
     finish_tag: f64,
 }
 
+/// A backlogged stream: its FIFO and the finish tag of its newest
+/// request. It exists only while the FIFO is non-empty. When the last
+/// request leaves, that tag is at most the virtual time, so a later
+/// request starts at the virtual time whether or not the record is kept.
+#[derive(Clone, Debug)]
+struct Backlog {
+    fifo: VecDeque<Entry>,
+    last_finish: f64,
+}
+
 /// A weighted fair queue of block requests.
+///
+/// Dequeue pops a min-heap holding one `(head finish tag, stream)` key per
+/// backlogged stream. Tags are finite and non-negative, so their bit
+/// patterns order like the values, and equal tags go to the lowest
+/// stream id.
 #[derive(Clone, Debug, Default)]
 pub struct WfqQueue {
-    per_stream: BTreeMap<StreamId, VecDeque<Entry>>,
-    weights: BTreeMap<StreamId, u32>,
-    last_finish: BTreeMap<StreamId, f64>,
+    backlogs: IdMap<StreamId, Backlog>,
+    heads: BinaryHeap<Reverse<(u64, StreamId)>>,
+    weights: IdMap<StreamId, u32>,
+    /// Emptied FIFOs, reused by streams that become backlogged.
+    spare: Vec<VecDeque<Entry>>,
     virtual_time: f64,
     len: usize,
 }
@@ -58,35 +79,51 @@ impl WfqQueue {
 
     /// Queued requests for one stream.
     pub fn stream_len(&self, stream: StreamId) -> usize {
-        self.per_stream.get(&stream).map_or(0, |q| q.len())
+        self.backlogs.get(&stream).map_or(0, |b| b.fifo.len())
+    }
+
+    /// Per-stream entries held: `[weights, backlogged streams]`.
+    /// [`WfqQueue::drain_stream`] frees both for its stream.
+    pub fn stream_entries(&self) -> [usize; 2] {
+        [self.weights.len(), self.backlogs.len()]
     }
 
     /// Enqueue a request under its stream's weight.
     pub fn enqueue(&mut self, req: IoRequest) {
         let weight = self.weight(req.stream) as f64;
-        let last = self.last_finish.get(&req.stream).copied().unwrap_or(0.0);
-        let start = last.max(self.virtual_time);
-        let finish = start + req.len as f64 / weight;
-        self.last_finish.insert(req.stream, finish);
-        self.per_stream
-            .entry(req.stream)
-            .or_default()
-            .push_back(Entry {
-                req,
-                finish_tag: finish,
-            });
+        let virtual_time = self.virtual_time;
+        let spare = &mut self.spare;
+        let mut newly_backlogged = false;
+        let b = self.backlogs.entry(req.stream).or_insert_with(|| {
+            newly_backlogged = true;
+            Backlog {
+                fifo: spare.pop().unwrap_or_default(),
+                last_finish: virtual_time,
+            }
+        });
+        let finish = b.last_finish.max(virtual_time) + req.len as f64 / weight;
+        b.last_finish = finish;
+        b.fifo.push_back(Entry {
+            req,
+            finish_tag: finish,
+        });
+        if newly_backlogged {
+            self.heads.push(Reverse((finish.to_bits(), req.stream)));
+        }
         self.len += 1;
     }
 
     /// Try to back-merge `req` into the tail of its stream's queue (block
     /// layer elevator merging). Returns true if merged.
     pub fn try_merge(&mut self, req: &IoRequest, max_merged_len: u64) -> bool {
-        if let Some(q) = self.per_stream.get_mut(&req.stream) {
-            if let Some(tail) = q.back_mut() {
-                if tail.req.can_back_merge(req) && tail.req.len + req.len <= max_merged_len {
-                    tail.req.len += req.len;
-                    return true;
-                }
+        if let Some(tail) = self
+            .backlogs
+            .get_mut(&req.stream)
+            .and_then(|b| b.fifo.back_mut())
+        {
+            if tail.req.can_back_merge(req) && tail.req.len + req.len <= max_merged_len {
+                tail.req.len += req.len;
+                return true;
             }
         }
         false
@@ -94,34 +131,38 @@ impl WfqQueue {
 
     /// Dequeue the request with the smallest virtual finish tag.
     pub fn dequeue(&mut self) -> Option<IoRequest> {
-        let (&stream, _) = self
-            .per_stream
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .min_by(|(_, a), (_, b)| {
-                let fa = a.front().unwrap().finish_tag;
-                let fb = b.front().unwrap().finish_tag;
-                fa.partial_cmp(&fb).unwrap()
-            })?;
-        let q = self.per_stream.get_mut(&stream).unwrap();
-        let entry = q.pop_front().unwrap();
-        if q.is_empty() {
-            self.per_stream.remove(&stream);
+        let mut head = self.heads.peek_mut()?;
+        let stream = head.0 .1;
+        let b = self
+            .backlogs
+            .get_mut(&stream)
+            .expect("a stream in the heap is backlogged");
+        let entry = b.fifo.pop_front().expect("a backlogged FIFO is non-empty");
+        if let Some(next) = b.fifo.front() {
+            *head = Reverse((next.finish_tag.to_bits(), stream));
+        } else {
+            PeekMut::pop(head);
+            let b = self.backlogs.remove(&stream).expect("just looked up");
+            self.spare.push(b.fifo);
         }
         self.len -= 1;
         self.virtual_time = self.virtual_time.max(entry.finish_tag);
         Some(entry.req)
     }
 
-    /// Drop all queued requests for a stream (VM teardown). Returns them.
-    pub fn drain_stream(&mut self, stream: StreamId) -> Vec<IoRequest> {
-        let drained: Vec<IoRequest> = self
-            .per_stream
-            .remove(&stream)
-            .map(|q| q.into_iter().map(|e| e.req).collect())
-            .unwrap_or_default();
-        self.len -= drained.len();
-        drained
+    /// Drop all queued requests for a stream and forget its weight (VM
+    /// teardown). Returns how many requests were dropped.
+    pub fn drain_stream(&mut self, stream: StreamId) -> usize {
+        self.weights.remove(&stream);
+        let Some(mut b) = self.backlogs.remove(&stream) else {
+            return 0;
+        };
+        self.heads.retain(|&Reverse((_, s))| s != stream);
+        let dropped = b.fifo.len();
+        self.len -= dropped;
+        b.fifo.clear();
+        self.spare.push(b.fifo);
+        dropped
     }
 }
 
@@ -252,8 +293,7 @@ mod tests {
         q.enqueue(req(0, 1, 4096));
         q.enqueue(req(1, 2, 4096));
         q.enqueue(req(2, 1, 4096));
-        let drained = q.drain_stream(StreamId(1));
-        assert_eq!(drained.len(), 2);
+        assert_eq!(q.drain_stream(StreamId(1)), 2);
         assert_eq!(q.len(), 1);
         assert_eq!(q.dequeue().unwrap().stream, StreamId(2));
     }
