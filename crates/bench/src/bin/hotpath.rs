@@ -210,17 +210,19 @@ fn bench_control_tick(t: &Timer) -> Pair {
     }
 }
 
-/// Timers kept in flight per scheduler-churn cycle — the ROADMAP's
-/// 1k-domain scale point, one timeout per domain.
+/// Timers kept in flight per scheduler-churn cycle, one per domain at
+/// the 1k-domain scale point.
 const CHURN_TIMERS: u64 = 1024;
 
-/// Scheduler churn: schedule-then-cancel timeout patterns at the
-/// 1k-domain scale target, the shape that dominated the event engine's
-/// cost. Current is the timer wheel (O(1) schedule, direct-slot cancel,
-/// amortized O(1) pop); baseline is the frozen binary-heap engine with
-/// its tombstone set (`iorch_simcore::event_legacy`), which pays O(log n)
-/// sifts plus tombstone hashing at this depth. One cycle = 1024
-/// schedules, 512 cancellations, drain to completion.
+/// Scheduler churn: schedule 1024 timeouts, cancel every other one and
+/// drain the rest. Current is the timer wheel (O(1) schedule, direct-slot
+/// cancel, amortized O(1) pop); baseline is the frozen binary-heap engine
+/// with its tombstone set (`iorch_simcore::event_legacy`), which pays
+/// O(log n) sifts plus tombstone hashing at this depth. One cycle = 1024
+/// schedules, 512 cancellations, drain to completion. The simulated model
+/// itself never cancels an event, and most of this row's margin over the
+/// heap comes from the cancellations: without them the wheel's lead is
+/// far smaller (see ROADMAP.md).
 fn bench_scheduler_churn(t: &Timer) -> Pair {
     let mut sim: Simulation<u64> = Simulation::new(0u64);
     let current = t.time("scheduler_churn/current", || {

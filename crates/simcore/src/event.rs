@@ -24,13 +24,12 @@
 //! differential oracle (`tests/scheduler_differential.rs`) pins the
 //! firing order of the two implementations to each other.
 //!
-//! Periodic events are built on top with a shared cancellation flag; a
-//! cancelled periodic's already-queued tick is dropped without firing,
-//! without advancing the clock and without counting as executed (the
-//! legacy engine popped it as a dead event — a documented wart).
-
-use std::cell::Cell;
-use std::rc::Rc;
+//! A pop searches the wheel once: it finds the earliest slot and either
+//! fires from it or, when the earliest deadline lies past the driver's
+//! horizon, returns nothing before any cascade moves the wheel's anchor.
+//!
+//! A periodic event is a plain chain of one-shot events: each tick
+//! schedules the next one after its callback returns `true`.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -48,31 +47,6 @@ pub type Callback<M> = Box<dyn FnOnce(&mut M, &mut Scheduler<M>)>;
 pub struct EventToken {
     seq: u64,
     idx: u32,
-}
-
-/// Handle to a periodic event; dropping it does **not** cancel the event,
-/// call [`PeriodicHandle::cancel`] (or
-/// [`Scheduler::cancel_periodic`] to also remove the queued tick from the
-/// wheel immediately) explicitly.
-#[derive(Clone, Debug)]
-pub struct PeriodicHandle {
-    cancelled: Rc<Cell<bool>>,
-    /// Token of the currently queued tick, maintained by the tick chain so
-    /// [`Scheduler::cancel_periodic`] can remove it in place.
-    queued: Rc<Cell<Option<EventToken>>>,
-}
-
-impl PeriodicHandle {
-    /// Stop the periodic event. The already-queued tick is dropped lazily
-    /// by the scheduler without firing, without advancing the clock and
-    /// without counting as executed.
-    pub fn cancel(&self) {
-        self.cancelled.set(true);
-    }
-    /// Whether the periodic event has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
-    }
 }
 
 /// 6 bits per wheel level: 64 slots.
@@ -109,10 +83,6 @@ fn slot_for(when: u64, level: usize) -> usize {
 struct Entry<M> {
     time: SimTime,
     seq: u64,
-    /// Shared cancellation flag of a periodic tick; `None` for one-shot
-    /// events. A set flag makes the entry dead: it is purged on sight
-    /// instead of fired.
-    guard: Option<Rc<Cell<bool>>>,
     cb: Callback<M>,
     /// Intrusive links within the entry's current wheel slot.
     prev: u32,
@@ -121,13 +91,6 @@ struct Entry<M> {
     /// recompute (or mis-compute) its slot.
     lvl: u8,
     slot: u8,
-}
-
-impl<M> Entry<M> {
-    #[inline]
-    fn is_dead(&self) -> bool {
-        self.guard.as_ref().is_some_and(|g| g.get())
-    }
 }
 
 /// Slab cell: a live entry, or a link in the free list.
@@ -168,12 +131,8 @@ pub struct Scheduler<M> {
     now: SimTime,
     next_seq: u64,
     executed: u64,
-    /// Entries currently filed in the wheel (including dead periodic
-    /// ticks not yet purged).
+    /// Entries currently filed in the wheel.
     len: usize,
-    /// Entries carrying a periodic-cancellation guard; when zero the
-    /// purge scan is skipped entirely on the hot path.
-    guarded: usize,
     /// Entry storage; slots link through it, freed cells chain from
     /// `free_head`.
     arena: Vec<Node<M>>,
@@ -195,7 +154,6 @@ impl<M> Scheduler<M> {
             next_seq: 0,
             executed: 0,
             len: 0,
-            guarded: 0,
             arena: Vec::new(),
             free_head: NIL,
             levels: Box::new([Level::EMPTY; LEVELS]),
@@ -214,8 +172,7 @@ impl<M> Scheduler<M> {
         self.executed
     }
 
-    /// Number of events still filed in the wheel (including the dead tick
-    /// of a flag-cancelled periodic until it is lazily purged).
+    /// Number of events still pending.
     #[inline]
     pub fn pending(&self) -> usize {
         self.len
@@ -310,43 +267,6 @@ impl<M> Scheduler<M> {
         }
     }
 
-    /// File an entry relative to `cursor` (the clock position the wheel
-    /// invariants are anchored to). Does not touch the counters.
-    #[inline]
-    fn insert_raw(&mut self, cursor: u64, entry: Entry<M>) -> u32 {
-        let when = entry.time.as_nanos();
-        debug_assert!(when >= cursor);
-        let lvl = level_for(cursor, when);
-        let slot = slot_for(when, lvl);
-        let idx = self.alloc(entry);
-        self.link_tail(lvl, slot, idx);
-        idx
-    }
-
-    #[inline]
-    fn new_entry(
-        &mut self,
-        at: SimTime,
-        guard: Option<Rc<Cell<bool>>>,
-        cb: Callback<M>,
-    ) -> (Entry<M>, u64) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        (
-            Entry {
-                time: at,
-                seq,
-                guard,
-                cb,
-                prev: NIL,
-                next: NIL,
-                lvl: 0,
-                slot: 0,
-            },
-            seq,
-        )
-    }
-
     /// Schedule `cb` at absolute time `at`. Scheduling in the past is a bug
     /// in the caller; the event is clamped to "now" in release builds.
     pub fn schedule_at(
@@ -360,8 +280,21 @@ impl<M> Scheduler<M> {
             self.now
         );
         let at = at.max(self.now);
-        let (entry, seq) = self.new_entry(at, None, Box::new(cb));
-        let idx = self.insert_raw(self.now.as_nanos(), entry);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let idx = self.alloc(Entry {
+            time: at,
+            seq,
+            cb: Box::new(cb),
+            prev: NIL,
+            next: NIL,
+            lvl: 0,
+            slot: 0,
+        });
+        // File at the first level whose digit differs from the clock's.
+        let when = at.as_nanos();
+        let lvl = level_for(self.now.as_nanos(), when);
+        self.link_tail(lvl, slot_for(when, lvl), idx);
         self.len += 1;
         EventToken { seq, idx }
     }
@@ -386,21 +319,6 @@ impl<M> Scheduler<M> {
         self.schedule_at(self.now, cb)
     }
 
-    /// Internal: schedule a periodic tick carrying its cancellation guard.
-    fn schedule_guarded(
-        &mut self,
-        at: SimTime,
-        guard: Rc<Cell<bool>>,
-        cb: impl FnOnce(&mut M, &mut Scheduler<M>) + 'static,
-    ) -> EventToken {
-        let at = at.max(self.now);
-        let (entry, seq) = self.new_entry(at, Some(guard), Box::new(cb));
-        let idx = self.insert_raw(self.now.as_nanos(), entry);
-        self.len += 1;
-        self.guarded += 1;
-        EventToken { seq, idx }
-    }
-
     /// Cancel a pending event by unlinking it from its wheel slot in
     /// O(1). Cancelling an already-fired or already-cancelled event is a
     /// no-op (returns false) — and unlike the legacy engine, a fired
@@ -411,105 +329,35 @@ impl<M> Scheduler<M> {
             _ => return false,
         }
         self.unlink(token.idx);
-        let e = self.release(token.idx);
+        self.release(token.idx);
         self.len -= 1;
-        if e.guard.is_some() {
-            self.guarded -= 1;
-        }
         true
-    }
-
-    /// Cancel a periodic event **and** remove its queued tick from the
-    /// wheel immediately (a plain [`PeriodicHandle::cancel`] leaves the
-    /// dead tick to be purged lazily). Returns whether a queued tick was
-    /// removed.
-    pub fn cancel_periodic(&mut self, handle: &PeriodicHandle) -> bool {
-        handle.cancelled.set(true);
-        match handle.queued.take() {
-            Some(tok) => self.cancel(tok),
-            None => false,
-        }
-    }
-
-    /// Drop every pending event while keeping the wheel's allocations, so
-    /// a driver can reuse one scheduler across runs without reallocating.
-    /// The clock and counters are left untouched; see [`Scheduler::reset`]
-    /// to also rewind them.
-    pub fn clear_pending(&mut self) {
-        self.arena.clear();
-        self.free_head = NIL;
-        for level in self.levels.iter_mut() {
-            if level.occupied != 0 {
-                *level = Level::EMPTY;
-            }
-        }
-        self.len = 0;
-        self.guarded = 0;
-    }
-
-    /// Rewind to an empty scheduler at time zero, retaining allocations.
-    pub fn reset(&mut self) {
-        self.clear_pending();
-        self.now = SimTime::ZERO;
-        self.next_seq = 0;
-        self.executed = 0;
     }
 
     /// Schedule a periodic callback firing every `interval`, starting one
     /// interval from now. The callback returns `true` to keep going or
-    /// `false` to stop; the returned handle cancels it externally.
+    /// `false` to stop; each tick schedules the next one only after its
+    /// callback returns `true`.
     pub fn schedule_every(
         &mut self,
         interval: SimDuration,
         f: impl FnMut(&mut M, &mut Scheduler<M>) -> bool + 'static,
-    ) -> PeriodicHandle
-    where
+    ) where
         M: 'static,
     {
         assert!(
             !interval.is_zero(),
             "zero-interval periodic event would live-lock the simulation"
         );
-        let cancelled = Rc::new(Cell::new(false));
-        let queued = Rc::new(Cell::new(None));
-        let handle = PeriodicHandle {
-            cancelled: Rc::clone(&cancelled),
-            queued: Rc::clone(&queued),
-        };
-        fn tick<M: 'static, F>(
-            mut f: F,
-            interval: SimDuration,
-            cancelled: Rc<Cell<bool>>,
-            queued: Rc<Cell<Option<EventToken>>>,
-            m: &mut M,
-            s: &mut Scheduler<M>,
-        ) where
+        fn tick<M: 'static, F>(mut f: F, interval: SimDuration, m: &mut M, s: &mut Scheduler<M>)
+        where
             F: FnMut(&mut M, &mut Scheduler<M>) -> bool + 'static,
         {
-            if cancelled.get() {
-                queued.set(None);
-                return;
-            }
-            if f(m, s) && !cancelled.get() {
-                let at = s.now() + interval;
-                let guard = Rc::clone(&cancelled);
-                let q = Rc::clone(&queued);
-                let tok = s.schedule_guarded(at, guard, move |m, s| {
-                    tick(f, interval, cancelled, queued, m, s)
-                });
-                q.set(Some(tok));
-            } else {
-                queued.set(None);
+            if f(m, s) {
+                s.schedule_in(interval, move |m, s| tick(f, interval, m, s));
             }
         }
-        let at = self.now + interval;
-        let guard = Rc::clone(&cancelled);
-        let q = Rc::clone(&queued);
-        let tok = self.schedule_guarded(at, guard, move |m, s| {
-            tick(f, interval, cancelled, queued, m, s)
-        });
-        q.set(Some(tok));
-        handle
+        self.schedule_in(interval, move |m, s| tick(f, interval, m, s));
     }
 
     /// Lowest occupied (level, slot) at or after the cursor position, or
@@ -530,30 +378,16 @@ impl<M> Scheduler<M> {
         None
     }
 
-    /// Remove dead (flag-cancelled periodic) entries from a slot. Returns
-    /// `true` if the slot is now empty (bit already cleared).
-    fn purge_slot(&mut self, lvl: usize, slot: usize) -> bool {
-        let mut i = self.levels[lvl].slots[slot & (SLOTS - 1)].head;
-        while i != NIL {
-            let e = self.entry(i);
-            let next = e.next;
-            if e.is_dead() {
-                self.unlink(i);
-                self.release(i);
-                self.len -= 1;
-                self.guarded -= 1;
-            }
-            i = next;
-        }
-        self.levels[lvl].occupied & (1u64 << slot) == 0
-    }
-
-    /// Earliest deadline within `(lvl, slot)` (full list walk — only used
-    /// on coarse levels, where a slot spans many timestamps).
+    /// Earliest deadline within `(lvl, slot)`. A level-0 slot resolves a
+    /// single nanosecond, so its head carries the one shared timestamp;
+    /// a coarse slot spans many timestamps and takes a full list walk.
     fn slot_min_time(&self, lvl: usize, slot: usize) -> u64 {
-        let mut min = u64::MAX;
         let mut i = self.levels[lvl].slots[slot & (SLOTS - 1)].head;
         debug_assert!(i != NIL, "occupied slot is empty");
+        if lvl == 0 {
+            return self.entry(i).time.as_nanos();
+        }
+        let mut min = u64::MAX;
         while i != NIL {
             let e = self.entry(i);
             min = min.min(e.time.as_nanos());
@@ -562,93 +396,80 @@ impl<M> Scheduler<M> {
         min
     }
 
-    /// Time of the next pending (live) event, if any.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        let cursor = self.now.as_nanos();
-        loop {
-            let (lvl, slot) = self.next_occupied(cursor)?;
-            if self.guarded > 0 && self.purge_slot(lvl, slot) {
-                continue;
-            }
-            return if lvl == 0 {
-                // A level-0 slot resolves a single nanosecond: every entry
-                // shares one exact timestamp.
-                Some(
-                    self.entry(self.levels[0].slots[slot & (SLOTS - 1)].head)
-                        .time,
-                )
-            } else {
-                Some(SimTime::from_nanos(self.slot_min_time(lvl, slot)))
-            };
-        }
+    /// Time of the next pending event, if any.
+    pub fn peek_next_time(&self) -> Option<SimTime> {
+        let (lvl, slot) = self.next_occupied(self.now.as_nanos())?;
+        Some(SimTime::from_nanos(self.slot_min_time(lvl, slot)))
     }
 
-    /// Pop the next event, advancing the clock to its timestamp.
-    /// Returns `None` when the queue is empty.
-    pub(crate) fn pop_next(&mut self) -> Option<(SimTime, Callback<M>)> {
-        let mut cursor = self.now.as_nanos();
-        loop {
-            let (lvl, slot) = self.next_occupied(cursor)?;
-            if self.guarded > 0 && self.purge_slot(lvl, slot) {
-                continue;
+    /// Pop the next event if its deadline is at or before `horizon`,
+    /// advancing the clock to it. Returns `None` when the queue is empty
+    /// or the earliest deadline lies past `horizon`; the wheel is then
+    /// left exactly as it was, still anchored to the clock.
+    pub(crate) fn pop_next(&mut self, horizon: SimTime) -> Option<Callback<M>> {
+        let (lvl, slot) = self.next_occupied(self.now.as_nanos())?;
+        let s = self.levels[lvl].slots[slot & (SLOTS - 1)];
+        if lvl == 0 || s.head == s.tail {
+            // Level 0 holds one exact timestamp, fired in FIFO order. A
+            // singleton coarse slot needs no cascade either: popping its
+            // only entry leaves nothing stale behind, and every other slot
+            // keeps its level invariant relative to the new clock (levels
+            // below `lvl` were empty — that is how the search got here —
+            // and levels at or above it share all the digits the clock
+            // jump changes).
+            if self.entry(s.head).time > horizon {
+                return None;
             }
-            if lvl == 0 {
-                return Some(self.fire_head(0, slot));
-            }
-            let s = self.levels[lvl].slots[slot & (SLOTS - 1)];
-            if s.head == s.tail {
-                // Singleton coarse slot: popping its only entry leaves
-                // nothing stale behind, and every other slot keeps its
-                // level invariant relative to the new clock (levels below
-                // `lvl` were empty — that is how the search got here — and
-                // levels at or above it share all the digits the clock
-                // jump changes). Skip the cascade entirely.
-                return Some(self.fire_head(lvl, slot));
-            }
-            // Cascade: the earliest pending event lives in this coarse
-            // slot. Move the cursor to the slot's earliest deadline and
-            // re-file every entry relative to it — each lands at a
-            // strictly lower level (they all share this slot's 64^lvl
-            // block with the new cursor), the earliest at level 0. FIFO
-            // order within equal timestamps is preserved because the
-            // re-file walks in list order.
-            cursor = self.slot_min_time(lvl, slot);
-            self.levels[lvl].slots[slot & (SLOTS - 1)] = Slot::EMPTY;
-            self.levels[lvl].occupied &= !(1u64 << slot);
-            let mut i = s.head;
-            while i != NIL {
-                let e = self.entry(i);
-                let next = e.next;
-                let when = e.time.as_nanos();
-                let lv = level_for(cursor, when);
-                let sl = slot_for(when, lv);
-                self.link_tail(lv, sl, i);
-                i = next;
-            }
-            if self.guarded == 0 {
-                // The minimum landed at level 0, slot `cursor & 63`, at
-                // the head (re-filed in FIFO order into a level that was
-                // empty). Fire it directly instead of re-searching.
-                return Some(self.fire_head(0, cursor as usize & (SLOTS - 1)));
-            }
+            return Some(self.fire_head(lvl, slot));
+        }
+        // The earliest pending event lives in this coarse slot. Check it
+        // against the horizon before touching the wheel: a cascade moves
+        // the wheel's anchor to the slot's minimum, which the clock must
+        // not pass.
+        let cursor = self.slot_min_time(lvl, slot);
+        if cursor > horizon.as_nanos() {
+            return None;
+        }
+        // Re-file every entry relative to the slot's earliest deadline:
+        // each lands at a strictly lower level (they all share this
+        // slot's 64^lvl block with the new cursor), and the minimum lands
+        // at the head of level-0 slot `cursor & 63`, a level that was
+        // empty.
+        self.cascade(cursor, lvl, slot);
+        Some(self.fire_head(0, cursor as usize & (SLOTS - 1)))
+    }
+
+    /// Empty `(lvl, slot)` and re-file its entries relative to `cursor`,
+    /// walking in list order so FIFO order within equal timestamps is
+    /// preserved.
+    #[inline]
+    fn cascade(&mut self, cursor: u64, lvl: usize, slot: usize) {
+        let mut i = self.levels[lvl].slots[slot & (SLOTS - 1)].head;
+        self.levels[lvl].slots[slot & (SLOTS - 1)] = Slot::EMPTY;
+        self.levels[lvl].occupied &= !(1u64 << slot);
+        while i != NIL {
+            let e = self.entry(i);
+            let next = e.next;
+            let when = e.time.as_nanos();
+            debug_assert!(when >= cursor);
+            let lv = level_for(cursor, when);
+            self.link_tail(lv, slot_for(when, lv), i);
+            i = next;
         }
     }
 
     /// Pop and fire the head entry of `(lvl, slot)`; the caller
-    /// guarantees it is the earliest live pending event.
+    /// guarantees it is the earliest pending event.
     #[inline]
-    fn fire_head(&mut self, lvl: usize, slot: usize) -> (SimTime, Callback<M>) {
+    fn fire_head(&mut self, lvl: usize, slot: usize) -> Callback<M> {
         let idx = self.levels[lvl].slots[slot & (SLOTS - 1)].head;
         self.unlink(idx);
         let e = self.release(idx);
         self.len -= 1;
-        if e.guard.is_some() {
-            self.guarded -= 1;
-        }
         debug_assert!(e.time >= self.now);
         self.now = e.time;
         self.executed += 1;
-        (e.time, e.cb)
+        e.cb
     }
 
     /// Advance the clock with no event to fire (used by drivers that run
@@ -667,24 +488,11 @@ impl<M> Scheduler<M> {
                 }
                 // The cursor moved inside this coarse slot's range;
                 // re-file its entries at finer levels. All deadlines here
-                // are strictly after `t` (the caller's contract plus the
-                // lazy-purge invariant), and none can land back in a
-                // cursor slot: their first differing digit from `t` picks
-                // both the new level and a different slot index there.
-                let s = self.levels[lvl].slots[slot & (SLOTS - 1)];
-                self.levels[lvl].slots[slot & (SLOTS - 1)] = Slot::EMPTY;
-                self.levels[lvl].occupied &= !(1u64 << slot);
-                let mut i = s.head;
-                while i != NIL {
-                    let e = self.entry(i);
-                    let next = e.next;
-                    let when = e.time.as_nanos();
-                    debug_assert!(when >= cursor);
-                    let lv = level_for(cursor, when);
-                    let sl = slot_for(when, lv);
-                    self.link_tail(lv, sl, i);
-                    i = next;
-                }
+                // are strictly after `t` (the caller's contract), and none
+                // can land back in a cursor slot: their first differing
+                // digit from `t` picks both the new level and a different
+                // slot index there.
+                self.cascade(cursor, lvl, slot);
             }
         }
         self.now = t;
@@ -696,7 +504,7 @@ mod tests {
     use super::*;
 
     fn drain(sched: &mut Scheduler<Vec<u32>>, world: &mut Vec<u32>) {
-        while let Some((_, cb)) = sched.pop_next() {
+        while let Some(cb) = sched.pop_next(SimTime::MAX) {
             cb(world, sched);
         }
     }
@@ -782,7 +590,7 @@ mod tests {
         let mut s: Scheduler<Vec<u32>> = Scheduler::new();
         let old = s.schedule_in(SimDuration::from_millis(1), |w, _| w.push(1));
         let mut world = Vec::new();
-        let (_, cb) = s.pop_next().unwrap();
+        let cb = s.pop_next(SimTime::MAX).unwrap();
         cb(&mut world, &mut s);
         // This reuses the freed cell.
         s.schedule_in(SimDuration::from_millis(2), |w, _| w.push(2));
@@ -800,7 +608,7 @@ mod tests {
         let tok = s.schedule_in(SimDuration::from_millis(1), |w, _| w.push(1));
         s.schedule_in(SimDuration::from_millis(5), |w, _| w.push(2));
         let mut world = Vec::new();
-        let (_, cb) = s.pop_next().unwrap();
+        let cb = s.pop_next(SimTime::MAX).unwrap();
         cb(&mut world, &mut s);
         assert_eq!(world, vec![1]);
         assert!(!s.cancel(tok), "cancel after fire must be a no-op");
@@ -901,63 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_handle_cancels() {
-        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-        let handle = s.schedule_every(SimDuration::from_millis(1), |w, _| {
-            w.push(0);
-            true
-        });
-        // Cancel after the third tick via a one-shot event.
-        let h2 = handle.clone();
-        s.schedule_at(SimTime::from_micros(3500), move |_, _| h2.cancel());
-        let mut world = Vec::new();
-        drain(&mut s, &mut world);
-        assert!(handle.is_cancelled());
-        assert_eq!(world.len(), 3);
-        // The dead 4 ms tick was purged, not fired: the clock stopped at
-        // the cancelling event, and only 3 ticks + 1 cancel executed.
-        assert_eq!(s.now(), SimTime::from_micros(3500));
-        assert_eq!(s.events_executed(), 4);
-    }
-
-    #[test]
-    fn periodic_cancel_then_advance_fires_nothing() {
-        // Regression for the legacy wart: the queued tick of a cancelled
-        // periodic must not fire, advance the clock, or count as
-        // executed.
-        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-        let handle = s.schedule_every(SimDuration::from_millis(10), |w, _| {
-            w.push(0);
-            true
-        });
-        handle.cancel();
-        let mut world = Vec::new();
-        drain(&mut s, &mut world);
-        assert!(world.is_empty());
-        assert_eq!(s.now(), SimTime::ZERO, "dead tick must not advance time");
-        assert_eq!(s.events_executed(), 0);
-        assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn cancel_periodic_removes_queued_tick_immediately() {
-        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-        let handle = s.schedule_every(SimDuration::from_millis(10), |w, _| {
-            w.push(0);
-            true
-        });
-        assert_eq!(s.pending(), 1);
-        assert!(s.cancel_periodic(&handle));
-        assert_eq!(s.pending(), 0, "queued tick removed in place");
-        assert!(handle.is_cancelled());
-        assert!(!s.cancel_periodic(&handle), "second cancel is a no-op");
-        let mut world = Vec::new();
-        drain(&mut s, &mut world);
-        assert!(world.is_empty());
-        assert_eq!(s.now(), SimTime::ZERO);
-    }
-
-    #[test]
     fn schedule_now_runs_after_current_instant_queue() {
         let mut s: Scheduler<Vec<u32>> = Scheduler::new();
         s.schedule_at(SimTime::ZERO, |w, s| {
@@ -991,25 +742,6 @@ mod tests {
         let mut world = Vec::new();
         drain(&mut s, &mut world);
         assert_eq!(world, vec![1, 2]);
-    }
-
-    #[test]
-    fn reset_reuses_scheduler() {
-        let mut s: Scheduler<Vec<u32>> = Scheduler::new();
-        for i in 0..10u64 {
-            s.schedule_at(SimTime::from_millis(i), |w, _| w.push(0));
-        }
-        let tok = s.schedule_at(SimTime::from_millis(99), |_, _| {});
-        s.cancel(tok);
-        s.reset();
-        assert_eq!(s.pending(), 0);
-        assert_eq!(s.now(), SimTime::ZERO);
-        assert_eq!(s.events_executed(), 0);
-        // Fully functional after reset.
-        s.schedule_at(SimTime::from_millis(1), |w, _| w.push(7));
-        let mut world = Vec::new();
-        drain(&mut s, &mut world);
-        assert_eq!(world, vec![7]);
     }
 
     #[test]

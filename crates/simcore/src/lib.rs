@@ -32,7 +32,7 @@ mod sim;
 mod time;
 pub mod trace;
 
-pub use event::{Callback, EventToken, PeriodicHandle, Scheduler};
+pub use event::{Callback, EventToken, Scheduler};
 pub use faults::{BusFault, FaultEvent, FaultKind, FaultPlan, FaultWindow};
 pub use idmap::{IdHasher, IdMap};
 pub use rng::{SimRng, Zipfian};

@@ -33,8 +33,6 @@ pub enum RunOutcome {
     QueueEmpty,
     /// The horizon was reached with events still pending.
     HorizonReached,
-    /// The event budget was exhausted (see [`Simulation::run_with_budget`]).
-    BudgetExhausted,
 }
 
 impl<M> Simulation<M> {
@@ -83,8 +81,8 @@ impl<M> Simulation<M> {
 
     /// Execute a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        match self.sched.pop_next() {
-            Some((_, cb)) => {
+        match self.sched.pop_next(SimTime::MAX) {
+            Some(cb) => {
                 self.dispatch(cb);
                 true
             }
@@ -107,23 +105,16 @@ impl<M> Simulation<M> {
     /// is always left at `horizon` on return, so back-to-back `run_for`
     /// calls measure wall-clock spans even across idle periods.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            match self.sched.peek_next_time() {
-                None => {
-                    if horizon > self.sched.now() {
-                        self.sched.advance_to(horizon);
-                    }
-                    return RunOutcome::QueueEmpty;
-                }
-                Some(t) if t > horizon => {
-                    self.sched.advance_to(horizon);
-                    return RunOutcome::HorizonReached;
-                }
-                Some(_) => {
-                    let (_, cb) = self.sched.pop_next().expect("peeked event vanished");
-                    self.dispatch(cb);
-                }
-            }
+        while let Some(cb) = self.sched.pop_next(horizon) {
+            self.dispatch(cb);
+        }
+        if horizon > self.sched.now() {
+            self.sched.advance_to(horizon);
+        }
+        if self.sched.pending() == 0 {
+            RunOutcome::QueueEmpty
+        } else {
+            RunOutcome::HorizonReached
         }
     }
 
@@ -131,28 +122,6 @@ impl<M> Simulation<M> {
     #[inline]
     pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
         self.run_until(self.now() + span)
-    }
-
-    /// Run until the horizon or until `max_events` more events have fired —
-    /// a guard against accidental event storms in tests.
-    pub fn run_with_budget(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        let start = self.sched.events_executed();
-        loop {
-            if self.sched.events_executed() - start >= max_events {
-                return RunOutcome::BudgetExhausted;
-            }
-            match self.sched.peek_next_time() {
-                None => return RunOutcome::QueueEmpty,
-                Some(t) if t > horizon => {
-                    self.sched.advance_to(horizon);
-                    return RunOutcome::HorizonReached;
-                }
-                Some(_) => {
-                    let (_, cb) = self.sched.pop_next().expect("peeked event vanished");
-                    self.dispatch(cb);
-                }
-            }
-        }
     }
 }
 
@@ -186,20 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_guard_trips() {
-        let mut sim = Simulation::new(0u64);
-        // Self-perpetuating zero-delay chain.
-        fn storm(w: &mut u64, s: &mut Scheduler<u64>) {
-            *w += 1;
-            s.schedule_in(SimDuration::from_nanos(1), storm);
-        }
-        sim.scheduler_mut().schedule_now(storm);
-        let outcome = sim.run_with_budget(SimTime::from_secs(1), 1000);
-        assert_eq!(outcome, RunOutcome::BudgetExhausted);
-        assert_eq!(*sim.world(), 1000);
-    }
-
-    #[test]
     fn step_returns_false_when_empty() {
         let mut sim = Simulation::new(());
         assert!(!sim.step());
@@ -214,5 +169,48 @@ mod tests {
         sim.run_for(SimDuration::from_millis(2));
         assert_eq!(*sim.world(), 1);
         assert_eq!(sim.now(), SimTime::from_millis(4));
+    }
+
+    #[test]
+    fn horizon_before_coarse_slot_leaves_wheel_anchored() {
+        // Three deadlines share one multi-entry level-2 slot
+        // ([8192, 12288) ns from time zero). A horizon inside that range
+        // but before the earliest of them must fire nothing and leave the
+        // wheel anchored to the clock: an event scheduled afterwards at
+        // an already-pending timestamp still fires after it.
+        let mut sim = Simulation::new(Vec::<u32>::new());
+        for (id, ns) in [(1u32, 10_000u64), (2, 10_003), (3, 11_000)] {
+            sim.scheduler_mut()
+                .schedule_at(SimTime::from_nanos(ns), move |w, _| w.push(id));
+        }
+        let outcome = sim.run_until(SimTime::from_nanos(9_000));
+        assert_eq!(outcome, RunOutcome::HorizonReached);
+        assert!(sim.world().is_empty());
+        assert_eq!(sim.scheduler_mut().pending(), 3);
+        assert_eq!(sim.now(), SimTime::from_nanos(9_000));
+        assert_eq!(sim.scheduler_mut().events_executed(), 0);
+        sim.scheduler_mut()
+            .schedule_at(SimTime::from_nanos(10_000), |w, _| w.push(4));
+        sim.run_to_completion();
+        assert_eq!(sim.world(), &vec![1, 4, 2, 3]);
+        assert_eq!(sim.now(), SimTime::from_nanos(11_000));
+    }
+
+    #[test]
+    fn periodic_stops_when_callback_returns_false() {
+        let mut sim = Simulation::new(0u32);
+        sim.scheduler_mut()
+            .schedule_every(SimDuration::from_millis(1), |w, _| {
+                *w += 1;
+                *w < 3
+            });
+        let outcome = sim.run_until(SimTime::from_millis(10));
+        assert_eq!(outcome, RunOutcome::QueueEmpty);
+        assert_eq!(*sim.world(), 3);
+        assert_eq!(sim.scheduler_mut().pending(), 0);
+        assert_eq!(sim.scheduler_mut().events_executed(), 3);
+        assert_eq!(sim.now(), SimTime::from_millis(10));
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(*sim.world(), 3, "a stopped periodic never fires again");
     }
 }

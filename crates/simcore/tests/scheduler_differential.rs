@@ -2,22 +2,27 @@
 //! fire the exact same events in the exact same order as the frozen
 //! binary-heap engine [`iorch_simcore::event_legacy`].
 //!
-//! Random op scripts (schedule with nested follow-ups, cancel, periodic
-//! with flag/immediate cancellation, horizon runs, final drain) are
-//! generated once per seed and interpreted on both engines; the firing
-//! logs `(time_ns, id)` are compared byte-for-byte. Only the logs are
-//! compared — not cancel return values, final clocks, or executed counts,
-//! because the legacy engine pops a cancelled periodic's dead tick (it
-//! advances the clock and counts as executed while firing nothing; a
-//! documented wart the wheel fixes). Clock alignment between the engines
-//! is maintained by the `run_until` contract: both always land exactly on
-//! the horizon, so relative delays resolve to identical absolute times.
+//! Random op scripts (schedule with nested follow-ups, cancel,
+//! self-terminating periodics, horizon runs, final drain) are generated
+//! once per seed and interpreted on both engines. The firing logs
+//! `(time_ns, id)` are compared byte-for-byte, and so are the clock and
+//! the executed-event count after every horizon run and after the final
+//! drain: both engines drop a cancelled one-shot without counting it, and
+//! a periodic stops only by returning `false`, so every executed event is
+//! a logged firing. Cancel return values are not compared: the legacy
+//! engine detects a fired token's staleness lazily and may report `true`.
+//! Clock alignment between the engines is maintained by the `run_until`
+//! contract: both always land exactly on the horizon, so relative delays
+//! resolve to identical absolute times.
 
 use std::cell::Cell;
 
 use iorch_simcore::{event_legacy, gen, SimDuration, SimRng, SimTime, Simulation};
 
 type Log = Vec<(u64, u32)>;
+
+/// `(now_ns, events_executed)` after each horizon run and the final drain.
+type Clocks = Vec<(u64, u64)>;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -38,10 +43,6 @@ enum Op {
         max_ticks: u32,
         id: u32,
     },
-    /// Cancel the `pick % len`-th periodic handle. `immediate` uses the
-    /// wheel's `cancel_periodic` (direct slot removal); the legacy engine
-    /// only has the lazy flag — the firing logs must agree regardless.
-    CancelPeriodic { pick: usize, immediate: bool },
     /// Run both engines to `now + delta` (inclusive horizon, clock left
     /// exactly at the horizon on both).
     RunFor { delta: u64 },
@@ -66,7 +67,7 @@ fn gen_script(rng: &mut SimRng, n: usize) -> Vec<Op> {
         next_id
     };
     (0..n)
-        .map(|_| match rng.below(10) {
+        .map(|_| match rng.below(9) {
             0..=3 => Op::Schedule {
                 delay: gen_delay(rng),
                 id: id(),
@@ -80,10 +81,6 @@ fn gen_script(rng: &mut SimRng, n: usize) -> Vec<Op> {
                 max_ticks: rng.range(1, 12) as u32,
                 id: id(),
             },
-            7 => Op::CancelPeriodic {
-                pick: rng.below(1 << 16) as usize,
-                immediate: rng.chance(0.5),
-            },
             _ => Op::RunFor {
                 delta: rng.below(20_000_000),
             },
@@ -91,10 +88,10 @@ fn gen_script(rng: &mut SimRng, n: usize) -> Vec<Op> {
         .collect()
 }
 
-fn run_wheel(script: &[Op]) -> Log {
+fn run_wheel(script: &[Op]) -> (Log, Clocks) {
     let mut sim: Simulation<Log> = Simulation::new(Vec::new());
     let mut tokens = Vec::new();
-    let mut periodics = Vec::new();
+    let mut clocks = Vec::new();
     for op in script {
         match op.clone() {
             Op::Schedule { delay, id, nested } => {
@@ -125,7 +122,7 @@ fn run_wheel(script: &[Op]) -> Log {
                 id,
             } => {
                 let count = Cell::new(0u32);
-                let h = sim.scheduler_mut().schedule_every(
+                sim.scheduler_mut().schedule_every(
                     SimDuration::from_nanos(interval),
                     move |w: &mut Log, s| {
                         count.set(count.get() + 1);
@@ -133,26 +130,20 @@ fn run_wheel(script: &[Op]) -> Log {
                         count.get() < max_ticks
                     },
                 );
-                periodics.push(h);
-            }
-            Op::CancelPeriodic { pick, immediate } => {
-                if !periodics.is_empty() {
-                    let i = pick % periodics.len();
-                    if immediate {
-                        let h = periodics[i].clone();
-                        sim.scheduler_mut().cancel_periodic(&h);
-                    } else {
-                        periodics[i].cancel();
-                    }
-                }
             }
             Op::RunFor { delta } => {
                 sim.run_for(SimDuration::from_nanos(delta));
+                clocks.push(wheel_clock(&mut sim));
             }
         }
     }
     sim.run_to_completion();
-    sim.into_world()
+    clocks.push(wheel_clock(&mut sim));
+    (sim.into_world(), clocks)
+}
+
+fn wheel_clock(sim: &mut Simulation<Log>) -> (u64, u64) {
+    (sim.now().as_nanos(), sim.scheduler_mut().events_executed())
 }
 
 /// Mirror of `Simulation::run_until` for the legacy scheduler: pop while
@@ -170,11 +161,11 @@ fn legacy_run_until(s: &mut event_legacy::Scheduler<Log>, w: &mut Log, horizon: 
     s.advance_to(horizon);
 }
 
-fn run_legacy(script: &[Op]) -> Log {
+fn run_legacy(script: &[Op]) -> (Log, Clocks) {
     let mut s: event_legacy::Scheduler<Log> = event_legacy::Scheduler::new();
     let mut w: Log = Vec::new();
     let mut tokens = Vec::new();
-    let mut periodics = Vec::new();
+    let mut clocks = Vec::new();
     for op in script {
         match op.clone() {
             Op::Schedule { delay, id, nested } => {
@@ -202,41 +193,32 @@ fn run_legacy(script: &[Op]) -> Log {
                 id,
             } => {
                 let count = Cell::new(0u32);
-                let h =
-                    s.schedule_every(SimDuration::from_nanos(interval), move |w: &mut Log, s| {
-                        count.set(count.get() + 1);
-                        w.push((s.now().as_nanos(), id));
-                        count.get() < max_ticks
-                    });
-                periodics.push(h);
-            }
-            Op::CancelPeriodic { pick, .. } => {
-                // The legacy engine has no immediate removal; the lazy flag
-                // is its only mechanism. The logs must agree anyway.
-                if !periodics.is_empty() {
-                    let i = pick % periodics.len();
-                    let h: &event_legacy::PeriodicHandle = &periodics[i];
-                    h.cancel();
-                }
+                s.schedule_every(SimDuration::from_nanos(interval), move |w: &mut Log, s| {
+                    count.set(count.get() + 1);
+                    w.push((s.now().as_nanos(), id));
+                    count.get() < max_ticks
+                });
             }
             Op::RunFor { delta } => {
                 let horizon = s.now() + SimDuration::from_nanos(delta);
                 legacy_run_until(&mut s, &mut w, horizon);
+                clocks.push((s.now().as_nanos(), s.events_executed()));
             }
         }
     }
     while let Some((_, cb)) = s.pop_next() {
         cb(&mut w, &mut s);
     }
-    w
+    clocks.push((s.now().as_nanos(), s.events_executed()));
+    (w, clocks)
 }
 
 #[test]
 fn wheel_matches_legacy_firing_order() {
     gen::for_each_seed(0x5CED_D1FF, 48, |seed, rng| {
         let script = gen_script(rng, 250);
-        let wheel = run_wheel(&script);
-        let legacy = run_legacy(&script);
+        let (wheel, wheel_clocks) = run_wheel(&script);
+        let (legacy, legacy_clocks) = run_legacy(&script);
         assert_eq!(
             wheel.len(),
             legacy.len(),
@@ -247,6 +229,15 @@ fn wheel_matches_legacy_firing_order() {
         }
         // Sanity on the shared log: time must be non-decreasing.
         assert!(wheel.windows(2).all(|p| p[0].0 <= p[1].0), "seed {seed}");
+        assert_eq!(
+            wheel_clocks, legacy_clocks,
+            "seed {seed}: clock or executed count diverges"
+        );
+        assert_eq!(
+            wheel_clocks.last().map(|c| c.1),
+            Some(wheel.len() as u64),
+            "seed {seed}: every executed event is a logged firing"
+        );
     });
 }
 
@@ -278,8 +269,10 @@ fn wheel_matches_legacy_dense_same_instant_storm() {
                 }
             })
             .collect();
-        let wheel = run_wheel(&script);
-        let legacy = run_legacy(&script);
-        assert_eq!(wheel, legacy, "seed {seed}: storm logs diverge");
+        assert_eq!(
+            run_wheel(&script),
+            run_legacy(&script),
+            "seed {seed}: storm logs, clocks or executed counts diverge"
+        );
     });
 }
