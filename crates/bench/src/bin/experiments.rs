@@ -13,11 +13,19 @@
 //! file, e.g. `BENCH_scale.json`) against the `iorch-exp/v1` schema
 //! (required keys, finite numbers, nonzero sample counts) — the tier-1
 //! gate runs a smoke sweep and then validates it.
+//!
+//! `run` is also the only writer of the repo-root artifacts of the
+//! experiment families listed in `ROOT_ARTIFACTS`: the figure whose id
+//! is the spec name goes to `BENCH_<name>.json`. Library calls (the test
+//! suites) never touch those committed files.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use iorch_bench::exp::{self, Profile};
+use iorch_bench::exp::{self, gate, Profile};
+
+/// Specs whose figure is also committed at the repo root.
+const ROOT_ARTIFACTS: [&str; 2] = ["cluster", "scale"];
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -103,9 +111,21 @@ fn run(args: &[String]) -> ExitCode {
                 profile.name()
             );
         }
-        if let Err(e) = exp::run_spec(spec, profile, seed, &out, quiet) {
-            eprintln!("{}: artifact write failed: {e}", spec.name);
-            return ExitCode::FAILURE;
+        let figures = match exp::run_spec(spec, profile, seed, &out, quiet) {
+            Ok(figures) => figures,
+            Err(e) => {
+                eprintln!("{}: artifact write failed: {e}", spec.name);
+                return ExitCode::FAILURE;
+            }
+        };
+        if ROOT_ARTIFACTS.contains(&spec.name) {
+            let fig = figures
+                .iter()
+                .find(|f| f.id == spec.name)
+                .unwrap_or_else(|| panic!("{}: no figure with the spec's id", spec.name));
+            let file = format!("BENCH_{}.json", spec.name);
+            let path = gate::write_root_artifact(&file, fig, spec.name, profile.name(), seed);
+            println!("wrote {}", path.display());
         }
     }
     println!("artifacts: {}", out.display());

@@ -8,9 +8,9 @@
 //! ([`ClusterTier::steady_digest`]) is byte-identical to the no-fault
 //! run's, yielding a *measured convergence time* per `(nodes, fault)`
 //! cell. The run gates on every cell converging within the horizon with
-//! zero duplicated ownership, and emits `BENCH_cluster.json` at the repo
-//! root through the shared schema-validated emitter
-//! ([`gate::write_root_artifact`]).
+//! zero duplicated ownership. Its figure is also the repo-root
+//! `BENCH_cluster.json`, which only the `experiments` binary writes
+//! ([`gate::write_root_artifact`](super::gate::write_root_artifact)), so test runs leave it untouched.
 //!
 //! Everything here is simulated virtual time (`timing: false`), so the
 //! artifact is byte-deterministic per `(profile, seed)` and swept by the
@@ -24,7 +24,7 @@ use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Sim
 use iorchestra::cluster::ClusterTier;
 use iorchestra::{ClusterConfig, SystemKind};
 
-use super::{gate, Ctx, Figure};
+use super::{Ctx, Figure};
 
 /// A provisioned fleet under the control tier.
 struct Fleet {
@@ -184,13 +184,5 @@ pub(crate) fn run_cluster(ctx: &Ctx) -> Vec<Figure> {
             );
         }
     }
-    let path = gate::write_root_artifact(
-        "BENCH_cluster.json",
-        &f,
-        ctx.spec.name,
-        ctx.profile.name(),
-        ctx.seed,
-    );
-    println!("wrote {}", path.display());
     vec![f]
 }

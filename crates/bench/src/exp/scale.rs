@@ -20,18 +20,17 @@
 //! Because the measurement is `std::time::Instant` wall clock, this spec
 //! is marked `timing: true`: excluded from `experiments run all` and the
 //! golden byte-identity sweeps, run by name from `scripts/tier1.sh`, and
-//! gated on the threshold above instead of byte identity. Besides the
-//! per-run artifacts, the run emits `BENCH_scale.json` at the repo root
-//! through the shared schema-validated gate emitter
-//! ([`gate::write_root_artifact`]).
+//! gated on the threshold above instead of byte identity. Its figure is
+//! also the repo-root `BENCH_scale.json`, which only the `experiments`
+//! binary writes ([`gate::write_root_artifact`](super::gate::write_root_artifact)).
 
 use std::time::Instant;
 
 use iorch_hypervisor::{Cluster, ControlPlane, IoPathMode, MachineConfig, VmSpec};
 use iorch_simcore::Simulation;
-use iorchestra::{IOrchestraConfig, PolicyEngine};
+use iorchestra::{IOrchestraConfig, PolicyEngine, PolicySet};
 
-use super::{gate, Ctx, Figure};
+use super::{Ctx, Figure};
 
 /// One harness: a Paravirt machine with `doms` idle domains and the full
 /// IOrchestra policy engine held *outside* the machine, so ticks can be
@@ -52,7 +51,7 @@ impl Harness {
         let mut sim = Simulation::new(Cluster::new());
         let (cl, s) = sim.parts_mut();
         let idx = cl.add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
-        let mut plane = PolicyEngine::new(IOrchestraConfig::new(seed));
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(seed)));
         let mut ids = Vec::with_capacity(doms as usize);
         for _ in 0..doms {
             let dom = cl.create_domain(s, idx, vm(), |_| {});
@@ -150,14 +149,6 @@ pub(crate) fn run_scale(ctx: &Ctx) -> Vec<Figure> {
         f.row(doms.to_string(), vec![s, c]);
         f.samples += (steady_ticks + churn_ticks) as u64;
     }
-    let path = gate::write_root_artifact(
-        "BENCH_scale.json",
-        &f,
-        ctx.spec.name,
-        ctx.profile.name(),
-        ctx.seed,
-    );
-    println!("wrote {}", path.display());
     let (d0, first) = steady[0];
     let (dn, last) = steady[steady.len() - 1];
     let ratio = last / first.max(1e-9);

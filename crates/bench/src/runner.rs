@@ -628,12 +628,6 @@ pub fn bursty_run(
     h
 }
 
-/// Convenience: mean latency of a histogram in a chosen unit string for
-/// the bench tables.
-pub fn hist_mean_us(h: &LatencyHistogram) -> f64 {
-    h.mean().as_micros_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

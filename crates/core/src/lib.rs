@@ -23,8 +23,8 @@
 //!
 //! Every control plane — the paper's system, its `FunctionSet` ablations,
 //! and the comparison systems (Baseline/SDC, DIF \[17\]) — is a
-//! [`policy::PolicySet`] executed by the [`policy::PolicyEngine`]: typed
-//! enforcement points, staged rules, engine-owned enforcement. See the
+//! [`policy::PolicySet`] executed by the [`policy::PolicyEngine`]: rules
+//! attached to typed enforcement points, engine-owned enforcement. See the
 //! [`policy`] module for the architecture and its determinism contract;
 //! [`SystemKind`] provisions any plane onto a machine. The pre-redesign
 //! hand-fused planes survive in [`legacy`] as the byte-identity oracle.
@@ -45,6 +45,6 @@ mod system;
 pub use anomaly::{AnomalyDetector, AnomalyParams};
 pub use cluster::{ClusterConfig, ClusterTier, NodeAgent, NodeCaps};
 pub use monitor::{MonitorReport, MonitoringModule};
-pub use planes::{FunctionSet, IOrchestraConfig, IOrchestraPlane, PlaneStats};
-pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule, Stage};
+pub use planes::{FunctionSet, IOrchestraConfig, PlaneStats};
+pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule};
 pub use system::SystemKind;

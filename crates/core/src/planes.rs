@@ -1,22 +1,16 @@
-//! Control-plane configuration and compatibility surface.
+//! Control-plane configuration shared by every plane.
 //!
 //! The control planes the paper compares are expressed as
 //! [`PolicySet`](crate::policy::PolicySet)s executed by one
-//! [`PolicyEngine`] (see the
+//! [`PolicyEngine`](crate::policy::PolicyEngine) (see the
 //! [`policy`](crate::policy) module). This module keeps what is shared by
-//! every plane — [`FunctionSet`], [`IOrchestraConfig`], [`PlaneStats`] —
-//! plus the historic [`IOrchestraPlane`] name, now an alias for the
-//! engine; `IOrchestraPlane::new(cfg)` still builds the paper's full
-//! system. (The `BaselinePlane`/`DifPlane` shims that bridged the policy
-//! redesign have been removed — build those planes with
-//! [`PolicySet::baseline`](crate::policy::PolicySet::baseline) /
-//! [`PolicySet::sdc`](crate::policy::PolicySet::sdc) /
-//! [`PolicySet::dif`](crate::policy::PolicySet::dif).)
+//! every plane: [`FunctionSet`], [`IOrchestraConfig`] and
+//! [`PlaneStats`]. The paper's full system is
+//! `PolicyEngine::new(PolicySet::iorchestra(cfg))`.
 
 use iorch_simcore::SimDuration;
 
 use crate::anomaly::AnomalyParams;
-use crate::policy::PolicyEngine;
 
 /// Which of IOrchestra's three functions are enabled — §5 evaluates them
 /// individually (Figs. 8–11) and together (Figs. 4–7, 12).
@@ -149,17 +143,10 @@ pub struct PlaneStats {
     pub quarantines: u64,
 }
 
-/// The paper's system: store-choreographed flush control, collaborative
-/// congestion control, and NUMA-aware I/O co-scheduling — executed by the
-/// policy engine as [`PolicySet::iorchestra`](crate::policy::PolicySet).
-/// `IOrchestraPlane::new(cfg)` keeps working via
-/// `From<IOrchestraConfig> for PolicySet`.
-pub type IOrchestraPlane = PolicyEngine;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicySet;
+    use crate::policy::{PolicyEngine, PolicySet};
     use iorch_hypervisor::ControlPlane;
 
     #[test]
@@ -178,7 +165,7 @@ mod tests {
         assert_eq!(PolicyEngine::new(PolicySet::sdc()).name(), "sdc");
         assert_eq!(PolicyEngine::new(PolicySet::dif()).name(), "dif");
         assert_eq!(
-            IOrchestraPlane::new(IOrchestraConfig::new(1)).name(),
+            PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1))).name(),
             "iorchestra"
         );
     }

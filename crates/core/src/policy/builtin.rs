@@ -19,9 +19,7 @@ use crate::formulas::{
 };
 use crate::planes::{FunctionSet, IOrchestraConfig};
 
-use super::{
-    Action, EnforcementPoint, Feed, FlushMode, PolicyCtx, PolicySet, Rule, Stage, Verdict,
-};
+use super::{Action, EnforcementPoint, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
 
 // --------------------------------------------------------------------
 // Admission: anomaly budgets
@@ -64,10 +62,6 @@ impl AnomalyRule {
 }
 
 impl Rule for AnomalyRule {
-    fn name(&self) -> &'static str {
-        "anomaly-budget"
-    }
-
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
         let m = ctx.machine();
         let now = ctx.now();
@@ -150,8 +144,8 @@ impl Rule for AnomalyRule {
 pub struct FlushArgmaxRule;
 
 impl Rule for FlushArgmaxRule {
-    fn name(&self) -> &'static str {
-        "flush-argmax"
+    fn feeds_dirty_pages(&self) -> bool {
+        true
     }
 
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
@@ -224,10 +218,6 @@ impl Rule for FlushArgmaxRule {
 pub struct DifBroadcastRule;
 
 impl Rule for DifBroadcastRule {
-    fn name(&self) -> &'static str {
-        "dif-broadcast"
-    }
-
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
         let Some(report) = ctx.report() else { return };
         if !report.device_underutilized {
@@ -259,10 +249,6 @@ impl Rule for DifBroadcastRule {
 pub struct CongestionAdjudicationRule;
 
 impl Rule for CongestionAdjudicationRule {
-    fn name(&self) -> &'static str {
-        "congestion-adjudicate"
-    }
-
     fn adjudicates(&self) -> bool {
         true
     }
@@ -307,10 +293,6 @@ impl Default for CoschedRule {
 }
 
 impl Rule for CoschedRule {
-    fn name(&self) -> &'static str {
-        "numa-cosched"
-    }
-
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
         let m = ctx.machine();
         if m.iocores.len() < 2 {
@@ -414,39 +396,27 @@ impl Rule for CoschedRule {
 
 impl PolicySet {
     /// The paper's system as a policy set: Algorithms 1–3 plus anomaly
-    /// admission, staged per `cfg.functions` (an ablation is
+    /// admission, attached per `cfg.functions` (an ablation is
     /// configuration, not a fork).
     pub fn iorchestra(cfg: IOrchestraConfig) -> PolicySet {
         let f = cfg.functions;
         let anomaly = cfg.anomaly;
         let mut set = PolicySet::custom("iorchestra", cfg)
             .collaborative(true)
-            .stage(
-                Stage::new("admission", EnforcementPoint::QueueAdmission)
-                    .rule(AnomalyRule::new(anomaly)),
-            );
+            .rule(EnforcementPoint::QueueAdmission, AnomalyRule::new(anomaly));
         if f.flush {
-            set = set.stage(
-                Stage::new("flush", EnforcementPoint::CommandIssue)
-                    .feed(Feed::DirtyPages)
-                    .rule(FlushArgmaxRule),
-            );
+            set = set.rule(EnforcementPoint::CommandIssue, FlushArgmaxRule);
         }
         if f.congestion {
-            set = set.stage(
-                Stage::new("congestion", EnforcementPoint::CommandIssue)
-                    .rule(CongestionAdjudicationRule),
-            );
+            set = set.rule(EnforcementPoint::CommandIssue, CongestionAdjudicationRule);
         }
         if f.cosched {
-            set = set.stage(
-                Stage::new("cosched", EnforcementPoint::DeviceDispatch).rule(CoschedRule::new()),
-            );
+            set = set.rule(EnforcementPoint::DeviceDispatch, CoschedRule::new());
         }
         set
     }
 
-    /// The paper's Baseline: no stages, no tick, no store choreography —
+    /// The paper's Baseline: no rules, no tick, no store choreography —
     /// the guest's congestion avoidance runs blind (pair with paravirt
     /// I/O).
     pub fn baseline() -> PolicySet {
@@ -464,7 +434,7 @@ impl PolicySet {
     pub fn dif() -> PolicySet {
         PolicySet::custom("dif", IOrchestraConfig::new(0))
             .tick(Some(SimDuration::from_millis(100)))
-            .stage(Stage::new("flush", EnforcementPoint::CommandIssue).rule(DifBroadcastRule))
+            .rule(EnforcementPoint::CommandIssue, DifBroadcastRule)
     }
 
     /// Look up a built-in set by name (the ablation sweep's vocabulary):
@@ -487,14 +457,5 @@ impl PolicySet {
             "dif" => PolicySet::dif(),
             _ => return None,
         })
-    }
-}
-
-impl From<IOrchestraConfig> for PolicySet {
-    /// A bare config means the paper's full system: the historic
-    /// `IOrchestraPlane::new(cfg)` spelling builds
-    /// [`PolicySet::iorchestra`] through this conversion.
-    fn from(cfg: IOrchestraConfig) -> Self {
-        PolicySet::iorchestra(cfg)
     }
 }

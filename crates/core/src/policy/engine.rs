@@ -13,8 +13,8 @@
 //!   handling. A non-collaborative engine (Baseline, SDC, DIF) never
 //!   touches the store and is crash-oblivious, exactly like the legacy
 //!   structs whose crash handlers were no-ops.
-//! * `feeds_dirty`: some stage requested [`Feed::DirtyPages`], so the
-//!   engine publishes guest dirty-page state into the store (signal
+//! * `feeds_dirty`: some rule [`feeds_dirty_pages`](Rule::feeds_dirty_pages),
+//!   so the engine publishes guest dirty-page state into the store (signal
 //!   handler + per-tick republish).
 //! * `adjudicates`: some rule [`adjudicates`](Rule::adjudicates), so the
 //!   engine runs the full Algorithm 2 machinery — `congested`-key
@@ -46,17 +46,17 @@ use crate::monitor::{MonitorReport, MonitoringModule};
 use crate::planes::PlaneStats;
 
 use super::slab::PlaneSlab;
-use super::{Action, EnforcementPoint, Feed, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
+use super::{Action, EnforcementPoint, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
 
-/// Executes a [`PolicySet`]: evaluates its staged rules once per control
-/// tick and applies the resulting [`Action`]s through the engine-owned
-/// enforcement mechanisms. See the [module docs](super) for the
-/// determinism contract.
+/// Executes a [`PolicySet`]: evaluates its rules once per control tick,
+/// point by point, and applies the resulting [`Action`]s through the
+/// engine-owned enforcement mechanisms. See the [module docs](super) for
+/// the determinism contract.
 pub struct PolicyEngine {
     set: PolicySet,
     /// Derived: the set uses store choreography.
     collaborative: bool,
-    /// Derived: some stage requested [`Feed::DirtyPages`].
+    /// Derived: some rule feeds on guest dirty-page state.
     feeds_dirty: bool,
     /// Derived: some rule adjudicates congestion queries.
     adjudicates: bool,
@@ -85,23 +85,12 @@ pub struct PolicyEngine {
 }
 
 impl PolicyEngine {
-    /// Build an engine for a policy set. Accepts an
-    /// [`IOrchestraConfig`](crate::IOrchestraConfig) directly (via
-    /// `From`), which yields [`PolicySet::iorchestra`] — so the historic
-    /// `IOrchestraPlane::new(cfg)` spelling still works.
-    pub fn new(set: impl Into<PolicySet>) -> Self {
-        let set = set.into();
+    /// Build an engine for a policy set.
+    pub fn new(set: PolicySet) -> Self {
         let collaborative = set.collaborative;
-        let feeds_dirty = collaborative
-            && set
-                .stages
-                .iter()
-                .any(|st| st.feeds.contains(&Feed::DirtyPages));
-        let adjudicates = collaborative
-            && set
-                .stages
-                .iter()
-                .any(|st| st.rules.iter().any(|r| r.adjudicates()));
+        let any_rule = |f: fn(&dyn Rule) -> bool| set.rules.iter().any(|(_, r)| f(r.as_ref()));
+        let feeds_dirty = collaborative && any_rule(|r| r.feeds_dirty_pages());
+        let adjudicates = collaborative && any_rule(|r| r.adjudicates());
         PolicyEngine {
             rng: SimRng::new(set.cfg.seed ^ 0x10c),
             monitor: MonitoringModule::new(),
@@ -192,10 +181,8 @@ impl PolicyEngine {
 
     /// Notify every rule in the set (lifecycle fan-out).
     fn each_rule(set: &mut PolicySet, mut f: impl FnMut(&mut dyn Rule)) {
-        for st in &mut set.stages {
-            for r in &mut st.rules {
-                f(r.as_mut());
-            }
+        for (_, r) in &mut set.rules {
+            f(r.as_mut());
         }
     }
 
@@ -276,10 +263,10 @@ impl PolicyEngine {
         }
     }
 
-    /// Evaluate every stage anchored at `point` against one immutable
+    /// Evaluate every rule attached at `point` against one immutable
     /// context snapshot, then apply the collected actions in emission
     /// order. Batch-apply is the determinism keystone: rules cannot
-    /// observe each other's half-applied effects within a stage.
+    /// observe each other's half-applied effects within a point.
     fn eval_point(
         &mut self,
         m: &mut Machine,
@@ -288,49 +275,22 @@ impl PolicyEngine {
         report: Option<&MonitorReport>,
         point: EnforcementPoint,
     ) {
-        let mut fired: Vec<(&'static str, &'static str, Action)> = Vec::new();
+        let mut actions = Vec::new();
         {
-            let PolicyEngine {
-                set,
-                slab,
-                congested_fifo,
-                stats,
-                ..
-            } = self;
-            let PolicySet { cfg, stages, .. } = set;
+            let PolicyEngine { set, slab, .. } = self;
+            let PolicySet { cfg, rules, .. } = set;
             let ctx = PolicyCtx {
                 now,
                 report,
                 machine: &*m,
                 cfg: &*cfg,
                 slab: &*slab,
-                congested_fifo: &congested_fifo[..],
-                stats: &*stats,
             };
-            let mut buf = Vec::new();
-            for st in stages.iter_mut().filter(|st| st.point == point) {
-                for r in st.rules.iter_mut() {
-                    buf.clear();
-                    r.on_tick(&ctx, &mut buf);
-                    for a in buf.drain(..) {
-                        fired.push((st.name, r.name(), a));
-                    }
-                }
+            for (_, r) in rules.iter_mut().filter(|(p, _)| *p == point) {
+                r.on_tick(&ctx, &mut actions);
             }
         }
-        let trace_rules = self.set.trace_rules;
-        for (stage, rule, action) in fired {
-            if trace_rules {
-                trace_event!(
-                    now,
-                    TraceEventKind::Decision(Decision::RuleFired {
-                        stage,
-                        rule,
-                        action: action.label(),
-                        dom: action.domain().0,
-                    })
-                );
-            }
+        for action in actions {
             self.apply_action(m, s, now, action);
         }
     }
@@ -374,9 +334,6 @@ impl PolicyEngine {
                     m.cp_set_quantum(sk, dom, q);
                 }
                 m.cp_set_blkio_weight(dom, blkio_weight);
-            }
-            Action::Quota { dom, quota } => {
-                m.store.set_domain_quota(dom, quota);
             }
             Action::Flush {
                 dom,
@@ -437,11 +394,6 @@ impl PolicyEngine {
                 );
                 let _ = m.store.write(DOM0, &k.flush_now, val::uint(epoch));
             }
-            Action::Release { dom } => {
-                if self.collaborative {
-                    self.grant_release(m, now, dom);
-                }
-            }
             Action::Quarantine { dom, reason } => {
                 self.quarantine(m, dom, now, reason);
             }
@@ -449,8 +401,8 @@ impl PolicyEngine {
     }
 
     /// Grant a congestion release under a fresh epoch. Shared by rule
-    /// adjudication, the reconciliation re-issue and [`Action::Release`],
-    /// so every grant follows the same store sequence.
+    /// adjudication and the reconciliation re-issue, so every grant
+    /// follows the same store sequence.
     fn grant_release(&mut self, m: &mut Machine, now: SimTime, dom: DomainId) {
         self.stats.releases_granted += 1;
         trace_event!(
@@ -478,33 +430,20 @@ impl PolicyEngine {
     /// [`Verdict::Confirm`] — under no answer the guest sleeps, exactly
     /// as it would under Baseline.
     fn poll_verdict(&mut self, m: &Machine, now: SimTime, dom: DomainId) -> Verdict {
-        let PolicyEngine {
-            set,
-            slab,
-            congested_fifo,
-            stats,
-            ..
-        } = self;
-        let PolicySet { cfg, stages, .. } = set;
+        let PolicyEngine { set, slab, .. } = self;
+        let PolicySet { cfg, rules, .. } = set;
         let ctx = PolicyCtx {
             now,
             report: None,
             machine: m,
             cfg: &*cfg,
             slab: &*slab,
-            congested_fifo: &congested_fifo[..],
-            stats: &*stats,
         };
-        for st in stages.iter_mut() {
-            for r in st.rules.iter_mut() {
-                if r.adjudicates() {
-                    if let Some(v) = r.adjudicate(&ctx, dom) {
-                        return v;
-                    }
-                }
-            }
-        }
-        Verdict::Confirm
+        rules
+            .iter_mut()
+            .filter(|(_, r)| r.adjudicates())
+            .find_map(|(_, r)| r.adjudicate(&ctx, dom))
+            .unwrap_or(Verdict::Confirm)
     }
 
     /// Algorithm 2's adjudication of one raised `congested` flag: confirm
@@ -1081,7 +1020,7 @@ impl ControlPlane for PolicyEngine {
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
         let report = self.monitor.sample(m, now);
-        // Admission stages (anomaly budgets → quarantine).
+        // Admission rules (anomaly budgets → quarantine).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
         if self.collaborative {
             // Unacked flush commands lose their slot, with
@@ -1117,7 +1056,7 @@ impl ControlPlane for PolicyEngine {
             });
             self.slab.restore_kernel_dirty(dirty);
         }
-        // Command-issue stages (flush argmax, congestion adjudication).
+        // Command-issue rules (flush argmax, DIF broadcast).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::CommandIssue);
         if self.adjudicates {
             self.reconcile_congestion(m, now);
@@ -1126,8 +1065,7 @@ impl ControlPlane for PolicyEngine {
             }
         }
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::RingPush);
-        self.eval_point(m, s, now, Some(&report), EnforcementPoint::DrrVisit);
-        // Dispatch stages (co-scheduling weights).
+        // Dispatch rules (co-scheduling weights).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::DeviceDispatch);
         if self.collaborative {
             self.publish_health(m);
@@ -1174,27 +1112,17 @@ impl ControlPlane for PolicyEngine {
         // (e.g. anomaly bases at the current counters, so traffic that
         // happened while dom0 was down is not a post-recovery burst).
         {
-            let PolicyEngine {
-                set,
-                slab,
-                congested_fifo,
-                stats,
-                ..
-            } = self;
-            let PolicySet { cfg, stages, .. } = set;
+            let PolicyEngine { set, slab, .. } = self;
+            let PolicySet { cfg, rules, .. } = set;
             let ctx = PolicyCtx {
                 now,
                 report: None,
                 machine: &*m,
                 cfg: &*cfg,
                 slab: &*slab,
-                congested_fifo: &congested_fifo[..],
-                stats: &*stats,
             };
-            for st in stages.iter_mut() {
-                for r in st.rules.iter_mut() {
-                    r.on_recover(&ctx);
-                }
+            for (_, r) in rules.iter_mut() {
+                r.on_recover(&ctx);
             }
         }
         // Recovery is one of the two explicit full scans the dirty-set
@@ -1312,28 +1240,102 @@ mod tests {
         assert_eq!(PolicyEngine::new(PolicySet::sdc()).name(), "sdc");
         assert_eq!(PolicyEngine::new(PolicySet::dif()).name(), "dif");
         assert_eq!(
-            PolicyEngine::new(IOrchestraConfig::new(1)).name(),
+            PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1))).name(),
             "iorchestra"
         );
         assert!(PolicyEngine::new(PolicySet::baseline())
             .tick_period()
             .is_none());
         assert!(PolicyEngine::new(PolicySet::dif()).tick_period().is_some());
-        assert!(PolicyEngine::new(IOrchestraConfig::new(1))
-            .tick_period()
-            .is_some());
+        assert!(
+            PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1)))
+                .tick_period()
+                .is_some()
+        );
     }
 
     #[test]
-    fn derived_flags_follow_the_staged_rules() {
-        let full = PolicyEngine::new(IOrchestraConfig::new(1));
+    fn derived_flags_follow_the_attached_rules() {
+        let full = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(1)));
         assert!(full.collaborative && full.feeds_dirty && full.adjudicates);
-        let flush_only = PolicyEngine::new(
+        let flush_only = PolicyEngine::new(PolicySet::iorchestra(
             IOrchestraConfig::new(1).with_functions(crate::planes::FunctionSet::flush_only()),
-        );
+        ));
         assert!(flush_only.feeds_dirty && !flush_only.adjudicates);
         let dif = PolicyEngine::new(PolicySet::dif());
         assert!(!dif.collaborative && !dif.feeds_dirty && !dif.adjudicates);
+    }
+
+    /// The evaluation contract (DESIGN.md §10): one tick visits the points
+    /// in `EnforcementPoint` order whatever order the rules were added
+    /// in, and the actions of a point apply only after every rule at that
+    /// point has run, so a later rule never sees an earlier rule's effect.
+    #[test]
+    fn rules_run_in_point_order_and_actions_apply_after_the_point() {
+        use std::cell::RefCell;
+
+        use iorch_hypervisor::{IoPathMode, MachineConfig, VmSpec};
+        use iorch_simcore::Simulation;
+
+        type Log<T> = Rc<RefCell<Vec<T>>>;
+        struct Record(EnforcementPoint, Log<EnforcementPoint>);
+        impl Rule for Record {
+            fn on_tick(&mut self, _ctx: &PolicyCtx<'_>, _out: &mut Vec<Action>) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        struct QuarantineIt(DomainId);
+        impl Rule for QuarantineIt {
+            fn on_tick(&mut self, _ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
+                out.push(Action::Quarantine {
+                    dom: self.0,
+                    reason: "contract test",
+                });
+            }
+        }
+        struct SeeQuarantine(DomainId, Log<bool>);
+        impl Rule for SeeQuarantine {
+            fn on_tick(&mut self, ctx: &PolicyCtx<'_>, _out: &mut Vec<Action>) {
+                self.1.borrow_mut().push(ctx.is_quarantined(self.0));
+            }
+        }
+
+        let mut sim = Simulation::new(Cluster::new());
+        let (cl, s) = sim.parts_mut();
+        let idx = cl.add_machine(MachineConfig::paper_testbed(3, IoPathMode::Paravirt));
+        let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {});
+        let points: Log<EnforcementPoint> = Rc::default();
+        let seen: Log<bool> = Rc::default();
+        let mut set = PolicySet::custom("contract", IOrchestraConfig::new(3)).collaborative(true);
+        for p in [
+            EnforcementPoint::DeviceDispatch,
+            EnforcementPoint::QueueAdmission,
+            EnforcementPoint::RingPush,
+            EnforcementPoint::CommandIssue,
+        ] {
+            set = set.rule(p, Record(p, Rc::clone(&points)));
+        }
+        let set = set
+            .rule(EnforcementPoint::CommandIssue, QuarantineIt(dom))
+            .rule(
+                EnforcementPoint::CommandIssue,
+                SeeQuarantine(dom, Rc::clone(&seen)),
+            );
+        let mut plane = PolicyEngine::new(set);
+        plane.on_domain_created(cl.machine_mut(idx), s, dom);
+        plane.on_tick(cl.machine_mut(idx), s);
+
+        assert_eq!(
+            *points.borrow(),
+            [
+                EnforcementPoint::QueueAdmission,
+                EnforcementPoint::CommandIssue,
+                EnforcementPoint::RingPush,
+                EnforcementPoint::DeviceDispatch,
+            ]
+        );
+        assert_eq!(*seen.borrow(), [false], "action applied mid-point");
+        assert_eq!(plane.quarantined_domains(), [dom]);
     }
 
     /// Regression: the retry-backoff shift is capped at 6 (and
@@ -1350,7 +1352,7 @@ mod tests {
         let idx = cl.add_machine(MachineConfig::paper_testbed(1, IoPathMode::Paravirt));
         let mut cfg = IOrchestraConfig::new(1);
         cfg.flush_max_retries = u32::MAX; // keep the quarantine path out of the way
-        let mut plane = PolicyEngine::new(cfg);
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(cfg));
         let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {});
         let now = SimTime::from_secs(100);
         for &streak in &[6u32, 31, 63, 64, 200, u32::MAX - 2] {
@@ -1394,7 +1396,7 @@ mod tests {
             let idx = cl.add_machine(MachineConfig::paper_testbed(seed, IoPathMode::Paravirt));
             let mut cfg = IOrchestraConfig::new(seed);
             cfg.wake_interleave_max_ms = 0;
-            let mut plane = PolicyEngine::new(cfg);
+            let mut plane = PolicyEngine::new(PolicySet::iorchestra(cfg));
             let mut ids = Vec::new();
             for _ in 0..doms {
                 ids.push(cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(4), |_| {}));
@@ -1443,7 +1445,7 @@ mod tests {
         let mut sim = Simulation::new(Cluster::new());
         let (cl, s) = sim.parts_mut();
         let idx = cl.add_machine(MachineConfig::paper_testbed(7, IoPathMode::Paravirt));
-        let mut plane = PolicyEngine::new(IOrchestraConfig::new(7));
+        let mut plane = PolicyEngine::new(PolicySet::iorchestra(IOrchestraConfig::new(7)));
         let spec = || VmSpec::new(1, 1).with_disk_gb(4);
 
         // A long-lived neighbour pins slot 0.
@@ -1601,7 +1603,7 @@ mod tests {
         type Sizes = (
             usize,
             usize,
-            [usize; 5],
+            [usize; 4],
             [usize; 2],
             usize,
             Vec<[usize; 2]>,
@@ -1632,7 +1634,7 @@ mod tests {
             IoPathMode::DedicatedCores { per_socket: true },
         ));
         let engine = Rc::new(std::cell::RefCell::new(PolicyEngine::new(
-            IOrchestraConfig::new(11),
+            PolicySet::iorchestra(IOrchestraConfig::new(11)),
         )));
         cl.install_control(s, idx, Box::new(Shared(Rc::clone(&engine))));
         let on = Rc::new(Cell::new(true));

@@ -1,14 +1,14 @@
-//! The programmable policy data plane: typed enforcement points, a staged
-//! rule pipeline, and one engine that executes every control plane.
+//! The programmable policy data plane: typed enforcement points, rules
+//! attached to them, and one engine that executes every control plane.
 //!
 //! Before this module, each control plane the paper compares (Baseline,
 //! SDC, DIF, IOrchestra and its `FunctionSet` ablations) was a hand-fused
 //! struct: Algorithms 1–3 hardcoded into one `on_tick`, and every new
-//! policy a fork. Following PAIO's stage/rule split — enforcement
-//! *mechanisms* live in the data plane, *policies* are data — the planes
-//! are now expressed as [`PolicySet`]s: ordered [`Stage`]s of [`Rule`]s,
-//! anchored at typed [`EnforcementPoint`]s, evaluated once per control
-//! tick by the [`PolicyEngine`].
+//! policy a fork. Following PAIO's split — enforcement *mechanisms* live
+//! in the data plane, *policies* are data — the planes are now expressed
+//! as [`PolicySet`]s: [`Rule`]s, each attached to a typed
+//! [`EnforcementPoint`], evaluated once per control tick by the
+//! [`PolicyEngine`].
 //!
 //! # Division of labour
 //!
@@ -25,21 +25,15 @@
 //!
 //! # Determinism contract
 //!
-//! The pipeline-expressed built-in sets reproduce the pre-redesign
-//! planes' traces **byte-identically** (see `crates/core/src/legacy.rs`
-//! and the `policy_equivalence` suite): same store write order, same
-//! trace event order, same RNG draw order. Two design rules make this
-//! hold, and custom policy sets inherit them:
-//!
-//! 1. Within a stage, every rule is evaluated against the same immutable
-//!    [`PolicyCtx`] snapshot, and the collected actions are applied in
-//!    emission order *after* evaluation. Built-in stages hold one rule
-//!    each, so batching is observationally identical to inline execution.
-//! 2. Rule-firing trace events ([`Decision::RuleFired`]) are opt-in per
-//!    set ([`PolicySet::trace_rules`]); the built-in sets leave them off
-//!    so their decision streams match the legacy planes byte for byte.
-//!
-//! [`Decision::RuleFired`]: iorch_simcore::trace::Decision::RuleFired
+//! The built-in sets reproduce the pre-redesign planes' traces
+//! **byte-identically** (see `crates/core/src/legacy.rs` and the
+//! `policy_equivalence` suite): same store write order, same trace event
+//! order, same RNG draw order. Custom sets inherit the rule that makes
+//! this hold: at each point, every rule is evaluated against the same
+//! immutable [`PolicyCtx`] snapshot, and the collected actions are
+//! applied in emission order only after *all* of the point's rules have
+//! run. At every built-in point at most one rule emits actions, so
+//! batching is observationally identical to inline execution.
 //!
 //! # Quick start
 //!
@@ -57,7 +51,41 @@
 //! let _flush_only = PolicyEngine::new(PolicySet::iorchestra(cfg));
 //! ```
 //!
-//! See `examples/custom_policy.rs` for a user-defined rate-limit rule.
+//! # Writing a rule
+//!
+//! A custom rule implements [`Rule`] and is attached at a point with
+//! [`PolicySet::rule`]; it never touches the store directly:
+//!
+//! ```
+//! use iorchestra::policy::EnforcementPoint;
+//! use iorchestra::{Action, IOrchestraConfig, PolicyCtx, PolicyEngine, PolicySet, Rule};
+//! use iorch_hypervisor::{Cluster, IoPathMode, MachineConfig, VmSpec};
+//! use iorch_simcore::{SimTime, Simulation};
+//!
+//! struct CapEveryone;
+//! impl Rule for CapEveryone {
+//!     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
+//!         for dom in ctx.machine().domains() {
+//!             out.push(Action::RateLimit { dom, bytes_per_sec: Some(32 << 20) });
+//!         }
+//!     }
+//! }
+//!
+//! let set = PolicySet::custom("cap", IOrchestraConfig::new(42))
+//!     .rule(EnforcementPoint::RingPush, CapEveryone);
+//! let plane = PolicyEngine::new(set);
+//!
+//! let mut sim = Simulation::new(Cluster::new());
+//! let (cl, s) = sim.parts_mut();
+//! let idx = cl.add_machine(MachineConfig::paper_testbed(42, IoPathMode::Paravirt));
+//! cl.install_control(s, idx, Box::new(plane));
+//! let vm = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(2), |_| {});
+//! sim.run_until(SimTime::from_millis(250));
+//! assert_eq!(sim.world().machine(idx).rate_limit(vm), Some(32 << 20));
+//! ```
+//!
+//! See `examples/custom_policy.rs` for a complete run with a user-defined
+//! rate-limit rule.
 
 mod builtin;
 mod engine;
@@ -68,12 +96,12 @@ pub use builtin::{
 };
 pub use engine::PolicyEngine;
 
-use iorch_hypervisor::{DomainId, Machine, StoreQuota};
+use iorch_hypervisor::{DomainId, Machine};
 use iorch_simcore::{SimDuration, SimTime};
 
 use crate::keys::DomainKeys;
 use crate::monitor::MonitorReport;
-use crate::planes::{IOrchestraConfig, PlaneStats};
+use crate::planes::IOrchestraConfig;
 
 // --------------------------------------------------------------------
 // Enforcement points
@@ -81,49 +109,24 @@ use crate::planes::{IOrchestraConfig, PlaneStats};
 
 /// The decision sites on the I/O path where policy actions bind.
 ///
-/// A [`Stage`] is anchored at one point. Stages are *evaluated* once per
-/// control tick, in the order the points are listed here (then in
-/// declaration order within a point); the point names where the resulting
-/// actions take effect on the data path.
+/// Every rule in a [`PolicySet`] is attached to one point. Rules are
+/// *evaluated* once per control tick, in the order the points are listed
+/// here (then in the order they were added within a point); the point
+/// names where the resulting actions take effect on the data path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EnforcementPoint {
-    /// Guest queue admission: store-write/denied-rate anomaly budgets and
-    /// per-domain store quotas ([`Action::Quarantine`], [`Action::Quota`]).
+    /// Guest queue admission: store-write/denied-rate anomaly budgets
+    /// ([`Action::Quarantine`]).
     QueueAdmission,
-    /// Flush/release command issue over the store ([`Action::Flush`],
-    /// [`Action::Release`]) — Algorithms 1 and 2's command half.
+    /// Flush command issue over the store ([`Action::Flush`]) —
+    /// Algorithm 1's command half.
     CommandIssue,
     /// Frontend-ring push into the backend ([`Action::RateLimit`] binds
-    /// on the ring-drain dispatch path).
+    /// on the paravirt ring-drain dispatch path).
     RingPush,
-    /// DRR visit on a dedicated I/O core (per-socket quanta from
-    /// [`Action::Priority`]).
-    DrrVisit,
-    /// Host device dispatch (route weights and blkio weights from
-    /// [`Action::Priority`]) — Algorithm 3's enforcement half.
+    /// Host device dispatch (route weights, DRR quanta and blkio weights
+    /// from [`Action::Priority`]) — Algorithm 3's enforcement half.
     DeviceDispatch,
-}
-
-impl EnforcementPoint {
-    /// Tick evaluation order (see [`PolicyEngine`] docs / DESIGN.md §10):
-    /// admission first, then command issue, then the data-path points.
-    pub const TICK_ORDER: [EnforcementPoint; 5] = [
-        EnforcementPoint::QueueAdmission,
-        EnforcementPoint::CommandIssue,
-        EnforcementPoint::RingPush,
-        EnforcementPoint::DrrVisit,
-        EnforcementPoint::DeviceDispatch,
-    ];
-}
-
-/// Guest-side monitoring feeds a stage can request. Declaring a feed
-/// makes the engine publish the corresponding guest state into the store
-/// (collaborative sets only), exactly as the legacy plane did.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Feed {
-    /// `has_dirty_pages` / `nr_dirty` under each domain's virt-dev subtree
-    /// (Algorithm 1's input), republished on change each tick.
-    DirtyPages,
 }
 
 // --------------------------------------------------------------------
@@ -155,6 +158,12 @@ pub enum FlushMode {
 pub enum Action {
     /// Cap a domain's backend dispatch at `bytes_per_sec`
     /// (`None` lifts the cap). Binds at [`EnforcementPoint::RingPush`].
+    ///
+    /// The limiter sits in the paravirt backend's ring drain only. On
+    /// [`IoPathMode::DedicatedCores`] machines (SDC, IOrchestra) requests
+    /// bypass that path, so the cap is recorded but not enforced.
+    ///
+    /// [`IoPathMode::DedicatedCores`]: iorch_hypervisor::IoPathMode::DedicatedCores
     RateLimit {
         /// Target domain.
         dom: DomainId,
@@ -173,25 +182,12 @@ pub enum Action {
         /// cgroup blkio weight at the device (10–1000).
         blkio_weight: u32,
     },
-    /// Override a domain's store quota (`None` restores the base quota).
-    Quota {
-        /// Target domain.
-        dom: DomainId,
-        /// Replacement quota, or `None` to clear the override.
-        quota: Option<StoreQuota>,
-    },
     /// Tell a guest to write back its dirty pages.
     Flush {
         /// Target domain.
         dom: DomainId,
         /// Tracked (store-choreographed) or direct.
         mode: FlushMode,
-    },
-    /// Grant a congestion release under a fresh epoch (Algorithm 2's
-    /// `release_request`). Collaborative sets only.
-    Release {
-        /// Target domain.
-        dom: DomainId,
     },
     /// Quarantine a domain: Baseline behaviour, keys ignored, persisted
     /// until an operator clears it.
@@ -201,32 +197,6 @@ pub enum Action {
         /// Which budget or policy tripped (trace label).
         reason: &'static str,
     },
-}
-
-impl Action {
-    /// The domain this action targets.
-    pub fn domain(&self) -> DomainId {
-        match self {
-            Action::RateLimit { dom, .. }
-            | Action::Priority { dom, .. }
-            | Action::Quota { dom, .. }
-            | Action::Flush { dom, .. }
-            | Action::Release { dom }
-            | Action::Quarantine { dom, .. } => *dom,
-        }
-    }
-
-    /// Short discriminant label used by rule-firing trace events.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Action::RateLimit { .. } => "rate_limit",
-            Action::Priority { .. } => "priority",
-            Action::Quota { .. } => "quota",
-            Action::Flush { .. } => "flush",
-            Action::Release { .. } => "release",
-            Action::Quarantine { .. } => "quarantine",
-        }
-    }
 }
 
 /// Answer to a congestion adjudication (Algorithm 2's branch).
@@ -252,8 +222,6 @@ pub struct PolicyCtx<'a> {
     pub(crate) machine: &'a Machine,
     pub(crate) cfg: &'a IOrchestraConfig,
     pub(crate) slab: &'a slab::PlaneSlab,
-    pub(crate) congested_fifo: &'a [DomainId],
-    pub(crate) stats: &'a PlaneStats,
 }
 
 impl<'a> PolicyCtx<'a> {
@@ -314,16 +282,6 @@ impl<'a> PolicyCtx<'a> {
     pub fn dirty_domains(&self) -> &'a [DomainId] {
         self.slab.dirty_domains()
     }
-
-    /// Domains whose congestion was confirmed, in FIFO wake order.
-    pub fn congested_fifo(&self) -> &'a [DomainId] {
-        self.congested_fifo
-    }
-
-    /// The engine's activation counters so far.
-    pub fn stats(&self) -> &'a PlaneStats {
-        self.stats
-    }
 }
 
 // --------------------------------------------------------------------
@@ -333,16 +291,23 @@ impl<'a> PolicyCtx<'a> {
 /// One policy decision unit. Implementations own their decision state and
 /// emit [`Action`]s; the engine owns enforcement.
 ///
-/// All methods except [`name`](Rule::name) have no-op defaults, so a
-/// minimal rule only implements `name` and [`on_tick`](Rule::on_tick).
+/// Every method has a no-op default, so a minimal rule only implements
+/// [`on_tick`](Rule::on_tick).
 pub trait Rule: 'static {
-    /// Stable rule name (trace label, diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// Per-tick evaluation: read `ctx`, push actions onto `out`. Actions
-    /// are applied in emission order after the stage finishes evaluating.
+    /// Per-tick evaluation: read `ctx`, push actions onto `out` (append
+    /// only: earlier rules at the same point share the buffer). Actions
+    /// are applied in emission order once every rule at this rule's
+    /// enforcement point has been evaluated.
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
         let _ = (ctx, out);
+    }
+
+    /// Whether this rule's decisions read guest dirty-page state. A
+    /// collaborative set containing such a rule makes the engine publish
+    /// `has_dirty_pages` / `nr_dirty` under each domain's virt-dev
+    /// subtree (Algorithm 1's input), republished on change each tick.
+    fn feeds_dirty_pages(&self) -> bool {
+        false
     }
 
     /// Whether this rule answers congestion adjudications. A set
@@ -382,70 +347,26 @@ pub trait Rule: 'static {
 }
 
 // --------------------------------------------------------------------
-// Stage / PolicySet
+// PolicySet
 // --------------------------------------------------------------------
 
-/// An ordered group of rules anchored at one enforcement point.
-pub struct Stage {
-    pub(crate) name: &'static str,
-    pub(crate) point: EnforcementPoint,
-    pub(crate) feeds: Vec<Feed>,
-    pub(crate) rules: Vec<Box<dyn Rule>>,
-}
-
-impl Stage {
-    /// New empty stage at `point`.
-    pub fn new(name: &'static str, point: EnforcementPoint) -> Self {
-        Stage {
-            name,
-            point,
-            feeds: Vec::new(),
-            rules: Vec::new(),
-        }
-    }
-
-    /// Request a guest-side monitoring feed.
-    pub fn feed(mut self, f: Feed) -> Self {
-        if !self.feeds.contains(&f) {
-            self.feeds.push(f);
-        }
-        self
-    }
-
-    /// Append a rule (evaluated in append order).
-    pub fn rule(mut self, r: impl Rule) -> Self {
-        self.rules.push(Box::new(r));
-        self
-    }
-
-    /// Stage name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Anchoring enforcement point.
-    pub fn point(&self) -> EnforcementPoint {
-        self.point
-    }
-}
-
-/// A complete policy: a name, the engine tunables, and the staged rule
-/// pipeline. Built-in constructors re-express the paper's planes; custom
-/// sets compose freely via [`PolicySet::custom`].
+/// A complete policy: a name, the engine tunables, and the rules, each
+/// attached to an [`EnforcementPoint`]. Built-in constructors re-express
+/// the paper's planes; custom sets compose freely via
+/// [`PolicySet::custom`].
 pub struct PolicySet {
     pub(crate) name: &'static str,
     pub(crate) cfg: IOrchestraConfig,
     pub(crate) tick: Option<SimDuration>,
     pub(crate) collaborative: bool,
-    pub(crate) trace_rules: bool,
-    pub(crate) stages: Vec<Stage>,
+    pub(crate) rules: Vec<(EnforcementPoint, Box<dyn Rule>)>,
 }
 
 impl PolicySet {
-    /// Start a custom set: no stages, non-collaborative, ticking at
-    /// `cfg.tick`. Chain [`stage`](PolicySet::stage),
+    /// Start a custom set: no rules, non-collaborative, ticking at
+    /// `cfg.tick`. Chain [`rule`](PolicySet::rule),
     /// [`collaborative`](PolicySet::collaborative), etc. Note the engine
-    /// derives its behaviour from the *stages* (and the collaborative
+    /// derives its behaviour from the *rules* (and the collaborative
     /// flag), not from `cfg.functions` — that field only drives the
     /// built-in [`PolicySet::iorchestra`] constructor.
     pub fn custom(name: &'static str, cfg: IOrchestraConfig) -> Self {
@@ -453,8 +374,7 @@ impl PolicySet {
             name,
             tick: Some(cfg.tick),
             collaborative: false,
-            trace_rules: false,
-            stages: Vec::new(),
+            rules: Vec::new(),
             cfg,
         }
     }
@@ -474,17 +394,10 @@ impl PolicySet {
         self
     }
 
-    /// Emit a [`RuleFired`](iorch_simcore::trace::Decision::RuleFired)
-    /// decision per applied action. Off by default — and off for every
-    /// built-in set, preserving byte-identical legacy traces.
-    pub fn trace_rules(mut self, on: bool) -> Self {
-        self.trace_rules = on;
-        self
-    }
-
-    /// Append a stage (stages at the same point run in append order).
-    pub fn stage(mut self, st: Stage) -> Self {
-        self.stages.push(st);
+    /// Attach a rule at `point` (rules at the same point run in the
+    /// order they were added).
+    pub fn rule(mut self, point: EnforcementPoint, r: impl Rule) -> Self {
+        self.rules.push((point, Box::new(r)));
         self
     }
 
@@ -501,15 +414,5 @@ impl PolicySet {
     /// Control tick, if any.
     pub fn tick_period(&self) -> Option<SimDuration> {
         self.tick
-    }
-
-    /// Whether this set uses store choreography.
-    pub fn is_collaborative(&self) -> bool {
-        self.collaborative
-    }
-
-    /// The staged pipeline.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
     }
 }

@@ -4,9 +4,7 @@
 use iorch_guestos::FileOp;
 use iorch_hypervisor::{Cluster, IoPathMode, MachineConfig, VmSpec, DOM0};
 use iorch_simcore::{SimDuration, SimTime, Simulation};
-use iorchestra::{
-    keys, FunctionSet, IOrchestraConfig, IOrchestraPlane, PolicyEngine, PolicySet, SystemKind,
-};
+use iorchestra::{keys, FunctionSet, IOrchestraConfig, PolicyEngine, PolicySet, SystemKind};
 
 #[test]
 fn store_keys_are_registered_on_domain_creation() {
@@ -78,8 +76,9 @@ fn plane_stats_count_activations() {
     let mut sim = Simulation::new(Cluster::new());
     let (cl, s) = sim.parts_mut();
     let idx = cl.add_machine(MachineConfig::paper_testbed(3, IoPathMode::Paravirt));
-    let plane =
-        IOrchestraPlane::new(IOrchestraConfig::new(3).with_functions(FunctionSet::flush_only()));
+    let plane = PolicyEngine::new(PolicySet::iorchestra(
+        IOrchestraConfig::new(3).with_functions(FunctionSet::flush_only()),
+    ));
     cl.install_control(s, idx, Box::new(plane));
     let dom = cl.create_domain(s, idx, VmSpec::new(2, 4).with_disk_gb(10), |g| {
         g.wb.periodic_interval = SimDuration::from_secs(60);
@@ -252,5 +251,105 @@ fn dif_and_baseline_planes_never_touch_the_store() {
         // Neither comparison system uses the IOrchestra keys.
         assert!(m.store.read(DOM0, keys::flush_now(dom)).is_err());
         assert!(m.store.read(DOM0, keys::congested(dom)).is_err());
+    }
+}
+
+#[test]
+fn rate_limit_rule_caps_only_its_domain_on_the_paravirt_ring() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    use iorch_hypervisor::DomainId;
+    use iorch_simcore::trace::{TraceEventKind, TraceSession, COMPILED};
+    use iorchestra::policy::EnforcementPoint;
+    use iorchestra::{Action, PolicyCtx, Rule};
+
+    const CAP: u64 = 4 << 20;
+    /// Caps one domain's backend dispatch from the first tick on.
+    struct CapOne(Rc<Cell<Option<DomainId>>>);
+    impl Rule for CapOne {
+        fn on_tick(&mut self, _ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
+            if let Some(dom) = self.0.take() {
+                out.push(Action::RateLimit {
+                    dom,
+                    bytes_per_sec: Some(CAP),
+                });
+            }
+        }
+    }
+
+    let session = COMPILED.then(TraceSession::new);
+    let mut sim = Simulation::new(Cluster::new());
+    let (cl, s) = sim.parts_mut();
+    let idx = cl.add_machine(MachineConfig::paper_testbed(4, IoPathMode::Paravirt));
+    let target = Rc::new(Cell::new(None));
+    let set = PolicySet::custom("cap-one", IOrchestraConfig::new(4))
+        .rule(EnforcementPoint::RingPush, CapOne(Rc::clone(&target)));
+    cl.install_control(s, idx, Box::new(PolicyEngine::new(set)));
+    // Two identical sequential readers, each asking for ~26 MB/s.
+    const FILE: u64 = 256 << 20;
+    const READ: u64 = 256 << 10;
+    let doms: Vec<_> = (0..2)
+        .map(|_| {
+            let dom = cl.create_domain(s, idx, VmSpec::new(1, 1).with_disk_gb(2), |_| {});
+            let file = cl
+                .machine_mut(idx)
+                .kernel_mut(dom)
+                .unwrap()
+                .create_file(FILE)
+                .unwrap();
+            let mut next = 0u64;
+            s.schedule_every(SimDuration::from_millis(10), move |cl: &mut Cluster, s| {
+                let op = FileOp::Read {
+                    file,
+                    offset: next % FILE,
+                    len: READ,
+                };
+                next += READ;
+                cl.submit_op(s, idx, dom, 0, op, None);
+                true
+            });
+            dom
+        })
+        .collect();
+    let (capped, free) = (doms[0], doms[1]);
+    target.set(Some(capped));
+
+    sim.run_until(SimTime::from_secs(1));
+    let m = sim.world().machine(idx);
+    let start = (m.io_bytes(capped), m.io_bytes(free));
+    sim.run_until(SimTime::from_secs(3));
+    let m = sim.world().machine(idx);
+    let rate = |now: u64, then: u64| (now - then) / 2;
+    let capped_bps = rate(m.io_bytes(capped), start.0);
+    let free_bps = rate(m.io_bytes(free), start.1);
+    // The window may catch one request more than the cap admits.
+    assert!(
+        capped_bps <= CAP + READ,
+        "capped domain ran at {capped_bps} B/s, cap {CAP}"
+    );
+    assert!(
+        capped_bps >= CAP * 3 / 4,
+        "capped domain starved: {capped_bps} B/s"
+    );
+    assert!(free_bps > 3 * CAP, "neighbour only reached {free_bps} B/s");
+    assert_eq!(m.rate_limit(capped), Some(CAP));
+    assert_eq!(m.rate_limit(free), None);
+
+    if let Some(session) = session {
+        let deferred: Vec<u32> = session
+            .finish()
+            .into_events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::RateLimitDefer { dom, .. } => Some(dom),
+                _ => None,
+            })
+            .collect();
+        assert!(!deferred.is_empty(), "the limiter never deferred a request");
+        assert!(
+            deferred.iter().all(|&d| d == capped.0),
+            "a RateLimitDefer named an uncapped domain"
+        );
     }
 }

@@ -70,11 +70,6 @@ impl CpuAccounting {
             .sum();
         busy / self.cores.len() as f64
     }
-
-    /// Number of cores tracked.
-    pub fn core_count(&self) -> usize {
-        self.cores.len()
-    }
 }
 
 #[cfg(test)]

@@ -609,7 +609,7 @@ impl Cluster {
             let cost = m.cfg.timing.backend_per_req
                 + SimDuration::from_secs_f64(req.len as f64 / m.cfg.timing.backend_copy_bw as f64);
             let mut start = d.backend_busy_until.max(now);
-            // Policy rate limit (device-dispatch enforcement point): a
+            // Policy rate limit (ring-push enforcement point): a
             // throttled domain's requests start no earlier than the
             // limiter's ready horizon, which each request then pushes out
             // by len/limit. Zero work — and zero trace traffic — when no
@@ -1409,15 +1409,6 @@ impl Machine {
         }
     }
 
-    /// Revoke a bypass (host became congested). Any re-raised congestion
-    /// query surfaces through the domain's outputs immediately.
-    pub fn cp_revoke_bypass(&mut self, s: &mut Sched, dom: DomainId) {
-        if let Some((slot, d)) = self.live_mut(dom) {
-            d.kernel.revoke_bypass(s.now());
-            self.process_domain_outputs(s, slot, None);
-        }
-    }
-
     /// Remote `sync()` (`flush_now` in Alg. 1).
     pub fn cp_remote_sync(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some((slot, d)) = self.live_mut(dom) {
@@ -1451,6 +1442,11 @@ impl Machine {
     /// backend dispatch — the enforcement mechanism behind policy
     /// `RateLimit` actions. Deterministic: throttling only reshapes
     /// request start times, never drops or reorders them.
+    ///
+    /// The limiter lives in the paravirt backend's ring drain only: on
+    /// [`IoPathMode::DedicatedCores`] machines requests bypass that path,
+    /// so the limit is recorded ([`rate_limit`](Machine::rate_limit)) but
+    /// not enforced.
     pub fn cp_set_rate_limit(&mut self, dom: DomainId, bytes_per_sec: Option<u64>) {
         if let Some(d) = self.domain_mut(dom) {
             d.rate_limit_bps = bytes_per_sec.filter(|&b| b > 0);

@@ -122,15 +122,6 @@ pub struct Perms {
 }
 
 impl Perms {
-    /// Owned by dom0, private.
-    pub fn dom0_private() -> Self {
-        Perms {
-            owner: DOM0,
-            others_read: false,
-            others_write: false,
-        }
-    }
-
     /// Owned by a domain, private to it (and dom0).
     pub fn private_to(owner: DomainId) -> Self {
         Perms {
@@ -462,9 +453,6 @@ pub struct XenStore {
     /// Per-domain resource limits; `None` (the default) disables all
     /// quota enforcement and accounting.
     quota: Option<StoreQuota>,
-    /// Per-domain overrides of the base quota (policy `Quota` actions).
-    /// Consulted only on stores with a base quota installed.
-    quota_overrides: BTreeMap<DomainId, StoreQuota>,
     /// Write-rate token buckets, lazily created full per domain.
     buckets: BTreeMap<DomainId, TokenBucket>,
     /// Nodes currently owned per domain (maintained only with a quota
@@ -506,7 +494,6 @@ impl XenStore {
             denied_total: 0,
             trace_now: SimTime::ZERO,
             quota: None,
-            quota_overrides: BTreeMap::new(),
             buckets: BTreeMap::new(),
             owned_counts: BTreeMap::new(),
             now: SimTime::ZERO,
@@ -538,31 +525,6 @@ impl XenStore {
         self.quota
     }
 
-    /// Install (or with `None`, clear) a per-domain override of the base
-    /// quota. Overrides are enforced only on stores where [`set_quota`]
-    /// was called (machine stores always are); the owned-node accounting
-    /// is shared with the base quota, so overrides may be swapped at any
-    /// time. This is the store-side enforcement mechanism behind policy
-    /// `Quota` actions.
-    ///
-    /// [`set_quota`]: XenStore::set_quota
-    pub fn set_domain_quota(&mut self, dom: DomainId, quota: Option<StoreQuota>) {
-        match quota {
-            Some(q) => {
-                self.quota_overrides.insert(dom, q);
-            }
-            None => {
-                self.quota_overrides.remove(&dom);
-            }
-        }
-    }
-
-    /// The effective quota for `dom`: its override if one is installed,
-    /// else the base quota.
-    pub fn domain_quota(&self, dom: DomainId) -> Option<StoreQuota> {
-        self.quota_overrides.get(&dom).copied().or(self.quota)
-    }
-
     /// Advance the clock used by the write-rate token buckets. The store
     /// itself is time-free; the machine pushes the current sim time here
     /// at each event-loop entry. Monotonic (a stale time never refunds).
@@ -583,11 +545,10 @@ impl XenStore {
     /// bucket — and a denial storm — the moment service resumes. No-op
     /// without an installed quota.
     pub fn quota_refill_all(&mut self) {
-        let Some(base) = self.quota else { return };
+        let Some(quota) = self.quota else { return };
         let now = self.now;
-        for (dom, b) in self.buckets.iter_mut() {
-            let q = self.quota_overrides.get(dom).copied().unwrap_or(base);
-            b.nanos = q.write_burst.saturating_mul(TOKEN);
+        for b in self.buckets.values_mut() {
+            b.nanos = quota.write_burst.saturating_mul(TOKEN);
             b.last = now;
         }
     }
@@ -645,13 +606,12 @@ impl XenStore {
         path: &str,
         value_len: usize,
     ) -> Result<(), StoreError> {
-        let Some(base) = self.quota else {
+        let Some(quota) = self.quota else {
             return Ok(());
         };
         if caller == DOM0 {
             return Ok(());
         }
-        let quota = self.quota_overrides.get(&caller).copied().unwrap_or(base);
         if !self.take_token(caller, &quota) {
             self.note_denied(caller, path);
             return Err(StoreError::QuotaExceeded);
@@ -1049,8 +1009,8 @@ impl XenStore {
     }
 
     /// Forget a destroyed domain: drop its watches, its write/denied
-    /// counters, its write-rate bucket, its owned-node count and its quota
-    /// override. The monotonic [`write_total`](XenStore::write_total) and
+    /// counters, its write-rate bucket and its owned-node count. The
+    /// monotonic [`write_total`](XenStore::write_total) and
     /// [`denied_total`](XenStore::denied_total) keep their values. Events
     /// already queued for the domain's watches are kept, so removing the
     /// domain's subtree first still delivers every removal event.
@@ -1060,20 +1020,17 @@ impl XenStore {
         self.denied_counts.remove(&dom);
         self.buckets.remove(&dom);
         self.owned_counts.remove(&dom);
-        self.quota_overrides.remove(&dom);
     }
 
     /// Entries in the per-domain maps: write counters, denied counters,
-    /// rate buckets, owned-node counts and quota overrides. Each holds
-    /// only domains not yet passed to
-    /// [`forget_domain`](XenStore::forget_domain).
-    pub fn domain_entries(&self) -> [usize; 5] {
+    /// rate buckets and owned-node counts. Each holds only domains not yet
+    /// passed to [`forget_domain`](XenStore::forget_domain).
+    pub fn domain_entries(&self) -> [usize; 4] {
         [
             self.write_counts.len(),
             self.denied_counts.len(),
             self.buckets.len(),
             self.owned_counts.len(),
-            self.quota_overrides.len(),
         ]
     }
 
@@ -1717,17 +1674,12 @@ mod tests {
         let own = s.watch(d(1), path.as_str());
         s.write(d(1), "/local/domain/1/x", "v").unwrap();
         let _ = s.write(d(1), "/local/domain/2/x", "v");
-        s.set_domain_quota(d(1), Some(StoreQuota::generous()));
         s.take_events();
         let (writes, denied) = (s.write_total(), s.denied_total());
         s.remove(DOM0, path.as_str()).unwrap();
         s.forget_domain(d(1));
         assert_eq!(s.watch_count(), 0);
-        assert_eq!(
-            s.domain_entries(),
-            [0, 0, 0, 1, 0],
-            "only dom0's owned count"
-        );
+        assert_eq!(s.domain_entries(), [0, 0, 0, 1], "only dom0's owned count");
         assert_eq!((s.write_total(), s.denied_total()), (writes, denied));
         // The removal events queued before the forget are still delivered.
         let evs = s.take_events();

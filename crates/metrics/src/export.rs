@@ -260,11 +260,6 @@ impl TelemetryHub {
     pub fn reports(&self) -> &[LiveReport] {
         &self.reports
     }
-
-    /// Consume the hub, returning its reports.
-    pub fn into_reports(self) -> Vec<LiveReport> {
-        self.reports
-    }
 }
 
 /// Shared handle to a [`TelemetryHub`], cloned into workload recorders

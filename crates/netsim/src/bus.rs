@@ -177,11 +177,6 @@ impl<M: Clone> MsgBus<M> {
         }
         batch
     }
-
-    /// Number of messages parked for future delivery.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]

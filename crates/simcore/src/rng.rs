@@ -205,7 +205,6 @@ pub struct Zipfian {
     zeta_n: f64,
     alpha: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipfian {
@@ -224,7 +223,6 @@ impl Zipfian {
             zeta_n,
             alpha,
             eta,
-            zeta2,
         }
     }
 
@@ -246,11 +244,6 @@ impl Zipfian {
         sum
     }
 
-    /// Number of items.
-    pub fn item_count(&self) -> u64 {
-        self.n
-    }
-
     /// Draw the next item rank in `[0, n)`; rank 0 is the hottest.
     pub fn sample(&self, rng: &mut SimRng) -> u64 {
         let u = rng.f64();
@@ -269,12 +262,6 @@ impl Zipfian {
     /// Skew parameter theta.
     pub fn theta(&self) -> f64 {
         self.theta
-    }
-
-    /// Internal normalisation constants, exposed for tests.
-    #[doc(hidden)]
-    pub fn zetas(&self) -> (f64, f64) {
-        (self.zeta_n, self.zeta2)
     }
 }
 

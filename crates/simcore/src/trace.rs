@@ -354,19 +354,6 @@ pub enum Decision {
         /// Newest epoch the guest has already accepted for this channel.
         last_seen: u64,
     },
-    /// A policy-pipeline rule emitted an action. Opt-in per policy set
-    /// (`trace_rules`); the built-in sets leave it off so their decision
-    /// streams stay byte-identical to the pre-pipeline planes.
-    RuleFired {
-        /// Stage that hosted the rule.
-        stage: &'static str,
-        /// Rule name.
-        rule: &'static str,
-        /// Action discriminant, e.g. `"flush"` or `"rate_limit"`.
-        action: &'static str,
-        /// Target domain.
-        dom: u32,
-    },
     // ---- cluster control tier ----------------------------------------
     /// The cluster controller admitted a node into the membership (first
     /// registration of this incarnation).
@@ -730,17 +717,6 @@ fn render_decision(out: &mut String, d: &Decision) {
             let _ = write!(
                 out,
                 "decision stale_command dom {dom}: epoch={epoch} last_seen={last_seen}"
-            );
-        }
-        Decision::RuleFired {
-            stage,
-            rule,
-            action,
-            dom,
-        } => {
-            let _ = write!(
-                out,
-                "decision rule_fired dom {dom}: stage={stage} rule={rule} action={action}"
             );
         }
         Decision::NodeRegistered { node, incarnation } => {
@@ -1133,7 +1109,6 @@ fn chrome_fields(kind: &TraceEventKind) -> ChromeEvent<'_> {
                 Decision::PlaneCrash => ("decision_plane_crash", 0),
                 Decision::PlaneRecover { .. } => ("decision_plane_recover", 0),
                 Decision::StaleCommand { dom, .. } => ("decision_stale_command", *dom),
-                Decision::RuleFired { dom, .. } => ("decision_rule_fired", *dom),
                 Decision::NodeRegistered { node, .. } => ("decision_node_registered", *node),
                 Decision::LeaseExpired { node, .. } => ("decision_lease_expired", *node),
                 Decision::NodeRejoined { node, .. } => ("decision_node_rejoined", *node),

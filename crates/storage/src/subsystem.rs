@@ -110,11 +110,6 @@ impl StorageSubsystem {
         self.faults = Some(plan);
     }
 
-    /// Remove any installed fault plan.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// Set a stream's fair-share weight (the cgroup blkio knob the
     /// co-scheduler programs).
     pub fn set_stream_weight(&mut self, stream: StreamId, weight: u32) {

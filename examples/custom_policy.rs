@@ -16,9 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use iorchestra_suite::core::policy::EnforcementPoint;
-use iorchestra_suite::core::{
-    Action, IOrchestraConfig, PolicyCtx, PolicyEngine, PolicySet, Rule, Stage,
-};
+use iorchestra_suite::core::{Action, IOrchestraConfig, PolicyCtx, PolicyEngine, PolicySet, Rule};
 use iorchestra_suite::hypervisor::{Cluster, DomainId, IoPathMode, MachineConfig, VmSpec};
 use iorchestra_suite::simcore::{SimDuration, SimTime, Simulation};
 use iorchestra_suite::workloads::{recorder, spawn_fileserver, FsParams, VmRef};
@@ -33,10 +31,6 @@ struct BurstTamer {
 }
 
 impl Rule for BurstTamer {
-    fn name(&self) -> &'static str {
-        "burst-tamer"
-    }
-
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
         let ticks_per_sec = 1000 / ctx.cfg().tick.as_millis().max(1);
         for dom in ctx.machine().domains() {
@@ -63,13 +57,14 @@ fn run(custom: bool) -> (f64, u64) {
     let (cl, s) = sim.parts_mut();
     let idx = cl.add_machine(MachineConfig::paper_testbed(9, IoPathMode::Paravirt));
     if custom {
-        let set = PolicySet::custom("burst-tamer", IOrchestraConfig::new(9)).stage(
-            Stage::new("tamer", EnforcementPoint::RingPush).rule(BurstTamer {
+        let set = PolicySet::custom("burst-tamer", IOrchestraConfig::new(9)).rule(
+            EnforcementPoint::RingPush,
+            BurstTamer {
                 budget_bps: 64 << 20, // trip above 64 MiB/s...
                 cap_bps: 32 << 20,    // ...cap at 32 MiB/s until calm
                 last_bytes: BTreeMap::new(),
                 capped: BTreeSet::new(),
-            }),
+            },
         );
         cl.install_control(s, idx, Box::new(PolicyEngine::new(set)));
     }
