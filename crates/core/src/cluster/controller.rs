@@ -122,12 +122,6 @@ impl Controller {
         self.next_ldom
     }
 
-    /// Remove a domain from the catalog (reconciliation stops it).
-    pub fn retire(&mut self, ldom: u32) {
-        self.catalog.remove(&ldom);
-        self.orphans.remove(&ldom);
-    }
-
     /// The controller's bus address.
     pub fn node_id(&self) -> NodeId {
         self.ctrl
@@ -261,8 +255,8 @@ impl Controller {
             let alive = self.members.get(&node).is_some_and(|m| m.alive);
             let spec = self.catalog.get(&ldom).copied();
             if !alive || (rpc.start && spec.is_none()) {
-                // The target died or the domain was retired: drop the
-                // command and let reconciliation decide afresh.
+                // The target died or the domain left the catalog: drop
+                // the command and let reconciliation decide afresh.
                 continue;
             }
             trace_event!(
@@ -309,7 +303,8 @@ impl Controller {
         }
         // Stops: an alive node owns a domain it shouldn't. Make before
         // break — a superseded copy is only stopped once the desired
-        // owner actually reports it (retired domains stop immediately).
+        // owner actually reports it (a domain outside the catalog stops
+        // immediately).
         let mut stops: Vec<(u32, u32)> = Vec::new();
         for (&node, m) in &self.members {
             if !m.alive {

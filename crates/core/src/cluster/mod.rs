@@ -198,11 +198,6 @@ impl ClusterTier {
         self.controller.submit(spec)
     }
 
-    /// Remove a domain from the catalog; reconciliation stops it.
-    pub fn retire_domain(&mut self, ldom: u32) {
-        self.controller.retire(ldom);
-    }
-
     /// Arm a fault plan on the tier: network kinds merge into the bus;
     /// node/controller crashes are scheduled as crash/recover pairs.
     /// Machine-level kinds are ignored here — install those per machine

@@ -37,7 +37,6 @@ pub mod formulas;
 pub mod keys;
 pub mod legacy;
 pub mod monitor;
-pub mod netbuf;
 pub mod planes;
 pub mod policy;
 mod system;

@@ -119,12 +119,7 @@ impl GuestConfig {
             cache_fraction: 0.75,
             vdisk_size,
             stream,
-            queue: GuestQueueParams {
-                // The kernel coalesces before submission; queue-level
-                // merging is disabled to keep request ownership exact.
-                max_merged_len: 0,
-                ..GuestQueueParams::default()
-            },
+            queue: GuestQueueParams::default(),
             wb: WritebackParams::default(),
             readahead_chunks: 4,
         }
@@ -381,11 +376,6 @@ impl GuestKernel {
     /// Create a file on the virtual disk.
     pub fn create_file(&mut self, size: u64) -> Result<FileId, VfsError> {
         self.vfs.create(size)
-    }
-
-    /// Delete a file (drops its dirty pages; callers sync first if needed).
-    pub fn delete_file(&mut self, file: FileId) -> Result<(), VfsError> {
-        self.vfs.delete(file)
     }
 
     /// Size of a file.

@@ -39,8 +39,6 @@ pub struct GuestQueueParams {
     pub plug_max: usize,
     /// ... or when the oldest plugged request is this old.
     pub plug_delay: SimDuration,
-    /// Guest-level elevator merge size cap.
-    pub max_merged_len: u64,
     /// Hard ceiling on allocation while the collaborative bypass is active.
     pub bypass_hard_limit: usize,
     /// Delay between the congestion flag clearing and blocked submitters
@@ -55,7 +53,6 @@ impl Default for GuestQueueParams {
             nr_requests: NR_REQUESTS,
             plug_max: 16,
             plug_delay: SimDuration::from_millis(3),
-            max_merged_len: 512 * 1024,
             bypass_hard_limit: NR_REQUESTS * 4,
             wake_delay: SimDuration::from_millis(1),
         }
@@ -106,7 +103,6 @@ pub struct GuestQueue {
     // Statistics.
     congestion_entries: u64,
     bypass_grants: u64,
-    merged: u64,
 }
 
 impl GuestQueue {
@@ -124,7 +120,6 @@ impl GuestQueue {
             events: Vec::new(),
             congestion_entries: 0,
             bypass_grants: 0,
-            merged: 0,
             tag: 0,
         }
     }
@@ -159,17 +154,16 @@ impl GuestQueue {
         self.bypass_grants
     }
 
-    /// Requests absorbed by guest-level merging.
-    pub fn merged_count(&self) -> u64 {
-        self.merged
-    }
-
     /// Drain edge-triggered events (the queue keeps its buffer).
     pub fn poll_events(&mut self) -> std::vec::Drain<'_, QueueEvent> {
         self.events.drain(..)
     }
 
     /// Try to submit a request at `now`.
+    ///
+    /// The queue never merges requests: the kernel coalesces adjacent
+    /// chunks before submission, and each request keeps its id so
+    /// completions match exactly.
     pub fn submit(&mut self, req: IoRequest, now: SimTime) -> Submit {
         if self.congested {
             trace_event!(
@@ -191,22 +185,6 @@ impl GuestQueue {
                 }
             );
             return Submit::Blocked;
-        }
-        // Elevator back-merge into the plugged tail.
-        if let Some(tail) = self.queued.back_mut() {
-            if tail.can_back_merge(&req) && tail.len + req.len <= self.params.max_merged_len {
-                tail.len += req.len;
-                self.merged += 1;
-                trace_event!(
-                    now,
-                    TraceEventKind::QueueMerge {
-                        dom: self.tag,
-                        req: req.id.0,
-                        len: req.len,
-                    }
-                );
-                return Submit::Accepted;
-            }
         }
         if self.queued.is_empty() {
             self.plug_deadline = Some(now + self.params.plug_delay);
@@ -576,20 +554,6 @@ mod tests {
             q.submit(req(i, i * 1_000_000), SimTime::ZERO);
         }
         assert_eq!(q.take_dispatchable(SimTime::ZERO, false).len(), 16);
-    }
-
-    #[test]
-    fn contiguous_submissions_merge() {
-        let mut q = GuestQueue::new(GuestQueueParams::default());
-        q.submit(req(0, 0), SimTime::ZERO);
-        let mut r = req(1, 4096);
-        q.submit(r, SimTime::ZERO);
-        r = req(2, 8192);
-        q.submit(r, SimTime::ZERO);
-        assert_eq!(q.merged_count(), 2);
-        let batch: Vec<IoRequest> = q.take_dispatchable(SimTime::ZERO, true).collect();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].len, 3 * 4096);
     }
 
     #[test]

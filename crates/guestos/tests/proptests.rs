@@ -5,7 +5,7 @@
 
 use iorch_guestos::{
     coalesce_chunks, congestion_off_threshold, congestion_on_threshold, ChunkIdx, GuestQueue,
-    GuestQueueParams, PageCache, Submit, Vfs, CHUNK_PAGES, CHUNK_SIZE,
+    GuestQueueParams, PageCache, Submit, Vfs, VfsError, CHUNK_PAGES, CHUNK_SIZE,
 };
 use iorch_simcore::{gen, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId};
@@ -313,7 +313,6 @@ fn congestion_hysteresis() {
         let submit_batches = gen::vec_between(rng, 1, 40, |r| 1 + r.below(39) as usize);
         let params = GuestQueueParams {
             nr_requests: nr,
-            max_merged_len: 0,
             ..GuestQueueParams::default()
         };
         let mut q = GuestQueue::new(params);
@@ -369,7 +368,6 @@ fn at_most_one_unanswered_congestion_query() {
         let nr = 16 + rng.below(256 - 16) as usize;
         let params = GuestQueueParams {
             nr_requests: nr,
-            max_merged_len: 0,
             ..GuestQueueParams::default()
         };
         let mut q = GuestQueue::new(params);
@@ -433,34 +431,32 @@ fn at_most_one_unanswered_congestion_query() {
     });
 }
 
-/// VFS: allocations never overlap and deletes make space reusable.
+/// VFS: allocations never overlap, and each file starts at the sum of the
+/// earlier sizes, so the rest of the disk fits exactly one more file.
 #[test]
 fn vfs_no_overlap() {
     gen::for_each_seed(0x60_0004, CASES, |seed, rng| {
         let sizes = gen::vec_between(rng, 1, 50, |r| 1 + r.below(9_999));
         let total: u64 = sizes.iter().sum();
-        let mut vfs = Vfs::new(total * 2);
+        let rest = 1 + rng.below(10_000);
+        let mut vfs = Vfs::new(total + rest);
         let mut files = Vec::new();
         for &sz in &sizes {
             files.push((vfs.create(sz).unwrap(), sz));
         }
-        // Translate start and end of each file; ranges must not overlap.
-        let mut ranges: Vec<(u64, u64)> = files
-            .iter()
-            .map(|&(f, sz)| {
-                let start = vfs.translate(f, 0, 1).unwrap();
-                (start, start + sz)
-            })
-            .collect();
-        ranges.sort_unstable();
-        for w in ranges.windows(2) {
-            assert!(w[0].1 <= w[1].0, "overlapping extents (seed {seed})");
+        // Each file starts where the previous one ends: no overlap, no hole.
+        let mut at = 0;
+        for &(f, sz) in &files {
+            assert_eq!(vfs.translate(f, 0, 1), Ok(at), "seed {seed}");
+            at += sz;
         }
-        // Delete everything; a file of the total size then fits.
-        for (f, _) in files {
-            vfs.delete(f).unwrap();
-        }
-        assert!(vfs.create(total * 2).is_ok(), "seed {seed}");
+        assert_eq!(vfs.used_bytes(), total, "seed {seed}");
+        assert_eq!(vfs.create(rest + 1), Err(VfsError::NoSpace), "seed {seed}");
+        let last = vfs
+            .create(rest)
+            .expect("the rest of the disk fits one file");
+        assert_eq!(vfs.translate(last, 0, 1), Ok(total), "seed {seed}");
+        assert_eq!(vfs.create(1), Err(VfsError::NoSpace), "seed {seed}");
     });
 }
 

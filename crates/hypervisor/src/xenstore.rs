@@ -690,21 +690,6 @@ impl XenStore {
         node.value.as_deref().ok_or(StoreError::NotFound)
     }
 
-    /// Read a value as a shared `Rc<str>` (refcount bump, no copy).
-    pub fn read_shared<P: AsStorePath>(
-        &self,
-        caller: DomainId,
-        path: P,
-    ) -> Result<Rc<str>, StoreError> {
-        let path = path.path_str();
-        validate_path(path)?;
-        let node = self.lookup(path).ok_or(StoreError::NotFound)?;
-        if !node.perms.can_read(caller) {
-            return Err(StoreError::PermissionDenied);
-        }
-        node.value.clone().ok_or(StoreError::NotFound)
-    }
-
     /// Walk to the node at `path`, creating missing nodes with inherited
     /// permissions. Checks write permission on the deepest pre-existing
     /// node before creating anything (seed semantics), in a single pass.
@@ -1386,8 +1371,6 @@ mod tests {
             Err(StoreError::PermissionDenied)
         );
         assert_eq!(s.read_ref(DOM0, "/nope"), Err(StoreError::NotFound));
-        let shared = s.read_shared(d(1), "/local/domain/1/x").unwrap();
-        assert_eq!(&*shared, "hello");
     }
 
     #[test]

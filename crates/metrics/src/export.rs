@@ -266,11 +266,6 @@ impl TelemetryHub {
 /// and the trace tap.
 pub type SharedHub = Rc<RefCell<TelemetryHub>>;
 
-/// Convenience: a shared hub.
-pub fn shared_hub(cadence: SimDuration, slo: Option<SimDuration>) -> SharedHub {
-    Rc::new(RefCell::new(TelemetryHub::new(cadence, slo)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

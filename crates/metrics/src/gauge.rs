@@ -1,11 +1,10 @@
 //! Time-weighted gauges for utilization-style metrics.
 //!
-//! The paper reports average CPU utilization (Fig. 10c) and the storage
-//! monitor needs device busy fractions; both are time-weighted averages of
-//! a piecewise-constant signal, which is what [`TimeWeightedGauge`] and
-//! [`BusyTracker`] compute online in O(1) memory.
+//! Average utilization (the paper's Fig. 10c reports CPU utilization) is
+//! a time-weighted average of a piecewise-constant signal, which is what
+//! [`TimeWeightedGauge`] computes online in O(1) memory.
 
-use iorch_simcore::{SimDuration, SimTime};
+use iorch_simcore::SimTime;
 
 /// Online time-weighted average of a piecewise-constant value.
 #[derive(Clone, Copy, Debug)]
@@ -58,62 +57,6 @@ impl TimeWeightedGauge {
     }
 }
 
-/// Tracks busy/idle periods of a single resource (a device, an I/O core).
-#[derive(Clone, Copy, Debug)]
-pub struct BusyTracker {
-    busy_since: Option<SimTime>,
-    busy_total: SimDuration,
-    started: SimTime,
-}
-
-impl BusyTracker {
-    /// Idle tracker starting at `start`.
-    pub fn new(start: SimTime) -> Self {
-        BusyTracker {
-            busy_since: None,
-            busy_total: SimDuration::ZERO,
-            started: start,
-        }
-    }
-
-    /// Mark the resource busy at `now`; no-op if already busy.
-    pub fn set_busy(&mut self, now: SimTime) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    /// Mark the resource idle at `now`; no-op if already idle.
-    pub fn set_idle(&mut self, now: SimTime) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_total += now.saturating_since(since);
-        }
-    }
-
-    /// Whether the resource is currently busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Total busy time up to `now` (including an open busy period).
-    pub fn busy_time(&self, now: SimTime) -> SimDuration {
-        let open = self
-            .busy_since
-            .map(|s| now.saturating_since(s))
-            .unwrap_or(SimDuration::ZERO);
-        self.busy_total + open
-    }
-
-    /// Busy fraction in `[0, 1]` from the start until `now`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let total = now.saturating_since(self.started).as_secs_f64();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (self.busy_time(now).as_secs_f64() / total).min(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,33 +90,5 @@ mod tests {
         let g = TimeWeightedGauge::new(ms(10), 7.0);
         assert_eq!(g.average(ms(10)), 7.0);
         assert!((g.average(ms(20)) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_tracker_accumulates_periods() {
-        let mut b = BusyTracker::new(ms(0));
-        b.set_busy(ms(10));
-        b.set_idle(ms(30)); // 20ms busy
-        b.set_busy(ms(50));
-        b.set_busy(ms(60)); // no-op, already busy
-        b.set_idle(ms(90)); // 40ms busy
-        b.set_idle(ms(95)); // no-op, already idle
-        assert_eq!(b.busy_time(ms(100)), SimDuration::from_millis(60));
-        assert!((b.utilization(ms(100)) - 0.6).abs() < 1e-9);
-        assert!(!b.is_busy());
-    }
-
-    #[test]
-    fn busy_tracker_open_period_counts() {
-        let mut b = BusyTracker::new(ms(0));
-        b.set_busy(ms(0));
-        assert!(b.is_busy());
-        assert!((b.utilization(ms(100)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_zero_elapsed() {
-        let b = BusyTracker::new(ms(5));
-        assert_eq!(b.utilization(ms(5)), 0.0);
     }
 }

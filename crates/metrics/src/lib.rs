@@ -8,7 +8,7 @@
 //!   Figs. 5–6);
 //! * [`WindowedRate`] / [`Throughput`] — bandwidth monitoring (the
 //!   blktrace stand-in that drives the flush policy) and run throughput;
-//! * [`TimeWeightedGauge`] / [`BusyTracker`] — CPU and device utilization
+//! * [`TimeWeightedGauge`] — time-weighted averages such as utilization
 //!   (paper Fig. 10c);
 //! * [`LatencySummary`] / [`Table`] — the row/series formatting used by
 //!   every bench harness;
@@ -25,8 +25,8 @@ mod rate;
 mod summary;
 
 pub use cdf::{cdf, cdf_at_fractions, standard_grid, CdfPoint};
-pub use export::{shared_hub, LiveReport, ReportSink, SharedHub, TelemetryHub};
-pub use gauge::{BusyTracker, TimeWeightedGauge};
+pub use export::{LiveReport, ReportSink, SharedHub, TelemetryHub};
+pub use gauge::TimeWeightedGauge;
 pub use histogram::LatencyHistogram;
 pub use rate::{Throughput, WindowedRate};
 pub use summary::{

@@ -10,15 +10,15 @@
 //! The model is passive (like the other substrates): callers ask
 //! [`Network::transfer_time`] how long a message takes and schedule their
 //! own delivery events; [`Network`] tracks per-link queueing so concurrent
-//! transfers on one link serialize.
+//! transfers on one link serialize. [`MsgBus`] layers deterministic
+//! loss, duplication, reordering and partitions on top of it for the
+//! cluster control tier.
 
 #![warn(missing_docs)]
 
 pub mod bus;
-mod txbuf;
 
 pub use bus::{BusStats, MsgBus, SendOutcome};
-pub use txbuf::{TxPush, TxQueue};
 
 use iorch_simcore::{SimDuration, SimTime};
 

@@ -1,79 +1,8 @@
 //! Boundary-case unit coverage for `iorch-netsim`, beyond the in-module
-//! tests: `TxQueue` admission at exact capacity, the full → drain → admit
-//! cycle, EWMA determinism, and `Network` per-link serialization ordering.
+//! tests: `Network` per-link serialization ordering.
 
-use iorch_netsim::{NetParams, Network, NodeId, TxPush, TxQueue};
+use iorch_netsim::{NetParams, Network, NodeId};
 use iorch_simcore::{SimDuration, SimTime};
-
-fn t(us: u64) -> SimTime {
-    SimTime::from_micros(us)
-}
-
-#[test]
-fn txqueue_exact_capacity_admit() {
-    // A packet that lands the backlog exactly *at* capacity is admitted;
-    // one byte more is rejected (the check is `backlog + bytes > cap`).
-    let mut q = TxQueue::new(3000);
-    assert_eq!(q.push(1500, t(0)), TxPush::Queued);
-    assert_eq!(q.push(1500, t(0)), TxPush::Queued);
-    assert_eq!(q.backlog(), q.capacity());
-    assert_eq!(q.push(1, t(0)), TxPush::Full);
-    assert_eq!(q.rejected(), 1);
-    // A single packet exactly the size of the whole buffer also fits.
-    let mut q = TxQueue::new(9000);
-    assert_eq!(q.push(9000, t(0)), TxPush::Queued);
-    assert_eq!(q.push(1, t(0)), TxPush::Full);
-}
-
-#[test]
-fn txqueue_full_then_drain_then_admit() {
-    let mut q = TxQueue::new(3000);
-    q.push(1500, t(0));
-    q.push(1500, t(0));
-    assert_eq!(q.push(1500, t(1)), TxPush::Full);
-    // Draining one packet frees exactly its bytes: admission resumes.
-    assert_eq!(q.pop(t(2)), Some(1500));
-    assert_eq!(q.backlog(), 1500);
-    assert_eq!(q.push(1500, t(3)), TxPush::Queued);
-    assert_eq!(q.push(1, t(3)), TxPush::Full);
-    // Draining everything resets the backlog to zero but keeps the
-    // cumulative counters.
-    while q.pop(t(4)).is_some() {}
-    assert!(q.is_empty());
-    assert_eq!(q.backlog(), 0);
-    assert_eq!(q.sent_bytes(), 4500);
-    assert_eq!(q.rejected(), 2);
-    assert_eq!(q.push(3000, t(5)), TxPush::Queued);
-}
-
-#[test]
-fn txqueue_ewma_is_deterministic_and_seeds_from_first_pop() {
-    let run = || {
-        let mut q = TxQueue::new(1 << 20);
-        for i in 0..8u64 {
-            q.push(1500, t(i * 10));
-        }
-        let mut samples = Vec::new();
-        for i in 0..8u64 {
-            q.pop(t(1000 + i * 10));
-            samples.push(q.avg_delay());
-        }
-        samples
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "EWMA must be bit-identical across identical runs");
-    // First pop seeds the EWMA with the raw delay, no 0.9/0.1 blend with
-    // the zero initial state.
-    let mut q = TxQueue::new(1 << 20);
-    q.push(1500, t(0));
-    q.pop(t(250));
-    assert_eq!(q.avg_delay(), SimDuration::from_micros(250));
-    // Second pop blends: 0.9 * 250 + 0.1 * 350 = 260.
-    q.push(1500, t(1000));
-    q.pop(t(1350));
-    assert_eq!(q.avg_delay(), SimDuration::from_micros(260));
-}
 
 #[test]
 fn network_serializes_per_link_and_orders_deliveries() {

@@ -11,9 +11,9 @@
 //!   drift, portable results.
 //! * **Stable event ordering** ([`Scheduler`]): equal timestamps fire in
 //!   scheduling order, so a run is a pure function of (model, seed).
-//! * **Self-contained RNG** ([`SimRng`], xoshiro256++) with the distribution
-//!   zoo the paper's workloads need (exponential, Poisson, [`Zipfian`],
-//!   Pareto, normal), all seedable and forkable per component.
+//! * **Self-contained RNG** ([`SimRng`], xoshiro256++) with the
+//!   distributions the paper's workloads need (exponential, [`Zipfian`],
+//!   normal, log-normal), seeded per component.
 //! * **Single-threaded runs**: parallelism belongs *across* runs, never
 //!   inside one, so every figure is replayable.
 //! * **Self-contained tests** ([`gen`]): randomized-test data generators

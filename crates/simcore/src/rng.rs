@@ -3,9 +3,9 @@
 //! [`SimRng`] is a self-contained xoshiro256++ generator: identical seeds
 //! yield identical streams on every platform, which is what makes whole
 //! simulation runs bit-for-bit reproducible. The distribution helpers cover
-//! everything the workload models need (exponential inter-arrivals, Poisson
-//! counts, Zipfian key popularity à la YCSB, Pareto burst sizes, normal
-//! service-time noise).
+//! everything the workload models need (exponential inter-arrivals,
+//! Zipfian key popularity à la YCSB, normal and log-normal service-time
+//! noise).
 
 use crate::time::SimDuration;
 
@@ -39,12 +39,6 @@ impl SimRng {
             splitmix64(&mut sm),
         ];
         SimRng { s }
-    }
-
-    /// Derive an independent child stream; used to give each VM / workload
-    /// its own generator so adding one component never perturbs another.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        SimRng::new(self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
     /// Next raw 64-bit value.
@@ -111,14 +105,6 @@ impl SimRng {
         &xs[self.below(xs.len() as u64) as usize]
     }
 
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Exponentially distributed value with the given mean (`mean > 0`).
     #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
@@ -149,41 +135,6 @@ impl SimRng {
     #[inline]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.standard_normal()
-    }
-
-    /// Poisson-distributed count with the given mean.
-    ///
-    /// Knuth's product method for small means; a clamped normal
-    /// approximation for large means (error is negligible above ~30).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        debug_assert!(mean >= 0.0);
-        if mean <= 0.0 {
-            return 0;
-        }
-        if mean < 30.0 {
-            let limit = (-mean).exp();
-            let mut product = self.f64();
-            let mut count = 0u64;
-            while product > limit {
-                count += 1;
-                product *= self.f64();
-            }
-            count
-        } else {
-            let x = self.normal(mean, mean.sqrt());
-            if x < 0.0 {
-                0
-            } else {
-                x.round() as u64
-            }
-        }
-    }
-
-    /// Pareto-distributed value with scale `xm > 0` and shape `alpha > 0`.
-    #[inline]
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        xm / (1.0 - self.f64()).powf(1.0 / alpha)
     }
 
     /// Log-normal: `exp(Normal(mu, sigma))`.
@@ -258,11 +209,6 @@ impl Zipfian {
         let item = (self.n as f64 * spread) as u64;
         item.min(self.n - 1)
     }
-
-    /// Skew parameter theta.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
 }
 
 #[cfg(test)]
@@ -283,15 +229,6 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(same < 4);
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut parent = SimRng::new(7);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 4);
     }
 
@@ -342,26 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_converges() {
-        let mut rng = SimRng::new(7);
-        for &lambda in &[0.5, 3.0, 20.0, 100.0] {
-            let n = 50_000;
-            let sum: u64 = (0..n).map(|_| rng.poisson(lambda)).sum();
-            let mean = sum as f64 / n as f64;
-            assert!(
-                (mean - lambda).abs() < lambda.max(1.0) * 0.05,
-                "lambda={lambda} mean={mean}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisson_zero_mean() {
-        let mut rng = SimRng::new(8);
-        assert_eq!(rng.poisson(0.0), 0);
-    }
-
-    #[test]
     fn normal_moments() {
         let mut rng = SimRng::new(9);
         let n = 200_000;
@@ -370,14 +287,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
         assert!((var - 4.0).abs() < 0.2, "var={var}");
-    }
-
-    #[test]
-    fn pareto_lower_bound() {
-        let mut rng = SimRng::new(10);
-        for _ in 0..10_000 {
-            assert!(rng.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]
@@ -408,16 +317,6 @@ mod tests {
         }
         let covered = seen.iter().filter(|&&x| x).count();
         assert!(covered > 90, "covered={covered}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(13);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -82,7 +82,9 @@ pub enum TraceEventKind {
         /// Length in bytes.
         len: u64,
     },
-    /// A request was absorbed by an elevator back-merge.
+    /// A request was absorbed by an elevator back-merge. Nothing emits it:
+    /// neither block layer merges. Kept because the `benchmark/` package
+    /// matches on it.
     QueueMerge {
         /// Submitting domain.
         dom: u32,

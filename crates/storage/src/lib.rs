@@ -4,8 +4,8 @@
 //! 520-class SSDs) and the host-side block layer the policies act on:
 //!
 //! * [`IoRequest`]/[`StreamId`] — the request currency of the whole stack;
-//! * [`DeviceModel`] implementations: [`SsdModel`], [`HddModel`], and the
-//!   [`Raid0`] striping combinator;
+//! * [`DeviceModel`] implementations: [`SsdModel`] and the [`Raid0`]
+//!   striping combinator;
 //! * [`WfqQueue`] — start-time weighted fair queueing, the stand-in for
 //!   Linux cgroup blkio weights that IOrchestra's co-scheduler programs;
 //! * [`StorageSubsystem`] — queue + device channels + monitoring composed
@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 mod device;
-mod hdd;
 mod monitor;
 mod raid;
 mod request;
@@ -26,7 +25,6 @@ mod subsystem;
 mod wfq;
 
 pub use device::{DeviceModel, ServiceNoise};
-pub use hdd::{HddModel, HddParams};
 pub use monitor::{DeviceMonitor, IDLE_BANDWIDTH_FRACTION};
 pub use raid::Raid0;
 pub use request::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};

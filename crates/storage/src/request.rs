@@ -47,20 +47,6 @@ pub struct IoRequest {
     pub submitted: SimTime,
 }
 
-impl IoRequest {
-    /// One past the last byte touched.
-    #[inline]
-    pub fn end(&self) -> u64 {
-        self.offset + self.len
-    }
-
-    /// True if `other` starts exactly where `self` ends and is mergeable
-    /// (same kind, same stream) — the block layer's back-merge test.
-    pub fn can_back_merge(&self, other: &IoRequest) -> bool {
-        self.kind == other.kind && self.stream == other.stream && self.end() == other.offset
-    }
-}
-
 /// Allocates unique request ids.
 #[derive(Debug, Default, Clone)]
 pub struct RequestIdAlloc {
@@ -83,36 +69,6 @@ impl RequestIdAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn req(id: u64, kind: IoKind, stream: u32, offset: u64, len: u64) -> IoRequest {
-        IoRequest {
-            id: RequestId(id),
-            kind,
-            stream: StreamId(stream),
-            offset,
-            len,
-            submitted: SimTime::ZERO,
-        }
-    }
-
-    #[test]
-    fn end_offset() {
-        let r = req(0, IoKind::Read, 1, 4096, 8192);
-        assert_eq!(r.end(), 12288);
-    }
-
-    #[test]
-    fn back_merge_rules() {
-        let a = req(0, IoKind::Read, 1, 0, 4096);
-        let contiguous = req(1, IoKind::Read, 1, 4096, 4096);
-        let gap = req(2, IoKind::Read, 1, 8192, 4096);
-        let other_kind = req(3, IoKind::Write, 1, 4096, 4096);
-        let other_stream = req(4, IoKind::Read, 2, 4096, 4096);
-        assert!(a.can_back_merge(&contiguous));
-        assert!(!a.can_back_merge(&gap));
-        assert!(!a.can_back_merge(&other_kind));
-        assert!(!a.can_back_merge(&other_stream));
-    }
 
     #[test]
     fn id_alloc_is_sequential_and_unique() {

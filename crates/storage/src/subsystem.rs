@@ -17,8 +17,6 @@ use crate::wfq::WfqQueue;
 /// Tunables for the host storage subsystem.
 #[derive(Clone, Copy, Debug)]
 pub struct SubsystemParams {
-    /// Maximum merged request size (Linux `max_sectors_kb` analogue).
-    pub max_merged_len: u64,
     /// Queue depth (per device) above which the host considers itself
     /// congested — the management module's "overcrowded" test.
     pub congestion_queue_depth: usize,
@@ -29,12 +27,6 @@ pub struct SubsystemParams {
 impl Default for SubsystemParams {
     fn default() -> Self {
         SubsystemParams {
-            // Host-level merging is disabled by default: a merged request
-            // loses the absorbed request's identity, and the callers above
-            // (guest kernels) track completions per request id. The guest
-            // block layer already coalesces adjacent chunks before
-            // submission, so the host sees large requests anyway.
-            max_merged_len: 0,
             congestion_queue_depth: 64,
             monitor_window: SimDuration::from_millis(100),
         }
@@ -72,7 +64,6 @@ pub struct StorageSubsystem {
     monitor: DeviceMonitor,
     params: SubsystemParams,
     rng: SimRng,
-    merged: u64,
     submitted: u64,
     faults: Option<FaultPlan>,
 }
@@ -97,7 +88,6 @@ impl StorageSubsystem {
             monitor,
             params,
             rng,
-            merged: 0,
             submitted: 0,
             faults: None,
         }
@@ -116,15 +106,16 @@ impl StorageSubsystem {
         self.queue.set_weight(stream, weight);
     }
 
-    /// Submit a request to the host queue, merging if possible, and start
-    /// it immediately if a channel is idle.
+    /// Submit a request to the host queue and start it immediately if a
+    /// channel is idle.
+    ///
+    /// The host never merges requests: a merged request would lose the
+    /// absorbed request's identity, and the guest kernels above track
+    /// completions per request id. The guest block layer already
+    /// coalesces adjacent chunks before submission.
     pub fn submit(&mut self, req: IoRequest, now: SimTime) {
         self.submitted += 1;
-        if self.queue.try_merge(&req, self.params.max_merged_len) {
-            self.merged += 1;
-        } else {
-            self.queue.enqueue(req);
-        }
+        self.queue.enqueue(req);
         self.kick(now);
     }
 
@@ -248,14 +239,16 @@ impl StorageSubsystem {
         self.busy().count_ones() as usize
     }
 
-    /// Total requests accepted (including those later merged away).
+    /// Total requests accepted.
     pub fn submitted_count(&self) -> u64 {
         self.submitted
     }
 
-    /// How many submissions were absorbed by merging.
+    /// Submissions absorbed by merging: always 0, since the host never
+    /// merges. Kept because the `benchmark/` package reports it as
+    /// `storage.merged`.
     pub fn merged_count(&self) -> u64 {
-        self.merged
+        0
     }
 
     /// The management module's "host device is overcrowded" test: a deep
@@ -351,7 +344,6 @@ mod tests {
     fn channels_run_in_parallel() {
         let mut sub = quiet_subsystem(4);
         for i in 0..4 {
-            // Non-contiguous so no merging.
             sub.submit(req(i, i as u32, (i * 10) << 20, 4096), SimTime::ZERO);
         }
         assert_eq!(sub.in_flight(), 4);
@@ -375,27 +367,6 @@ mod tests {
         complete(&mut sub, t);
         assert_eq!(sub.in_flight(), 2);
         assert_eq!(sub.queue_depth(), 6);
-    }
-
-    #[test]
-    fn sequential_same_stream_requests_merge() {
-        let mut p = SsdParams::intel520();
-        p.noise_sigma = 0.0;
-        p.channels = 1;
-        let mut sub = StorageSubsystem::new(
-            Box::new(SsdModel::new(p)),
-            SubsystemParams {
-                max_merged_len: 1024 * 1024,
-                ..SubsystemParams::default()
-            },
-            SimRng::new(1),
-        );
-        // First occupies the channel; next two are contiguous in queue.
-        sub.submit(req(0, 1, 0, 4096), SimTime::ZERO);
-        sub.submit(req(1, 1, 1 << 20, 4096), SimTime::ZERO);
-        sub.submit(req(2, 1, (1 << 20) + 4096, 4096), SimTime::ZERO);
-        assert_eq!(sub.merged_count(), 1);
-        assert_eq!(sub.queue_depth(), 1);
     }
 
     #[test]

@@ -113,22 +113,6 @@ impl WfqQueue {
         self.len += 1;
     }
 
-    /// Try to back-merge `req` into the tail of its stream's queue (block
-    /// layer elevator merging). Returns true if merged.
-    pub fn try_merge(&mut self, req: &IoRequest, max_merged_len: u64) -> bool {
-        if let Some(tail) = self
-            .backlogs
-            .get_mut(&req.stream)
-            .and_then(|b| b.fifo.back_mut())
-        {
-            if tail.req.can_back_merge(req) && tail.req.len + req.len <= max_merged_len {
-                tail.req.len += req.len;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Dequeue the request with the smallest virtual finish tag.
     pub fn dequeue(&mut self) -> Option<IoRequest> {
         let mut head = self.heads.peek_mut()?;
@@ -251,40 +235,6 @@ mod tests {
         }
         let ratio = bytes[1] as f64 / bytes[2] as f64;
         assert!((1.8..=2.2).contains(&ratio), "ratio={ratio}");
-    }
-
-    #[test]
-    fn merge_extends_tail() {
-        let mut q = WfqQueue::new();
-        q.enqueue(req(0, 1, 4096)); // offset 0
-        let next = IoRequest {
-            id: RequestId(9),
-            kind: IoKind::Read,
-            stream: StreamId(1),
-            offset: 4096,
-            len: 4096,
-            submitted: SimTime::ZERO,
-        };
-        assert!(q.try_merge(&next, 1 << 20));
-        assert_eq!(q.len(), 1);
-        let merged = q.dequeue().unwrap();
-        assert_eq!(merged.len, 8192);
-    }
-
-    #[test]
-    fn merge_respects_max_size() {
-        let mut q = WfqQueue::new();
-        q.enqueue(req(0, 1, 4096));
-        let next = IoRequest {
-            id: RequestId(9),
-            kind: IoKind::Read,
-            stream: StreamId(1),
-            offset: 4096,
-            len: 4096,
-            submitted: SimTime::ZERO,
-        };
-        assert!(!q.try_merge(&next, 6000));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -75,18 +75,6 @@ mod reference {
             self.len += 1;
         }
 
-        pub fn try_merge(&mut self, req: &IoRequest, max_merged_len: u64) -> bool {
-            if let Some(q) = self.per_stream.get_mut(&req.stream) {
-                if let Some(tail) = q.back_mut() {
-                    if tail.req.can_back_merge(req) && tail.req.len + req.len <= max_merged_len {
-                        tail.req.len += req.len;
-                        return true;
-                    }
-                }
-            }
-            false
-        }
-
         pub fn dequeue(&mut self) -> Option<IoRequest> {
             let (&stream, _) = self
                 .per_stream
@@ -128,25 +116,21 @@ mod reference {
         pub queue: RefWfq,
         channels: Vec<Slot>,
         rng: SimRng,
-        max_merged_len: u64,
     }
 
     impl RefSubsystem {
-        pub fn new(device: Box<dyn DeviceModel>, max_merged_len: u64, rng: SimRng) -> Self {
+        pub fn new(device: Box<dyn DeviceModel>, rng: SimRng) -> Self {
             let channels = vec![Slot::Idle; device.channels()];
             RefSubsystem {
                 device,
                 queue: RefWfq::default(),
                 channels,
                 rng,
-                max_merged_len,
             }
         }
 
         pub fn submit(&mut self, req: IoRequest, now: SimTime) {
-            if !self.queue.try_merge(&req, self.max_merged_len) {
-                self.queue.enqueue(req);
-            }
+            self.queue.enqueue(req);
             self.kick(now);
         }
 
@@ -224,8 +208,8 @@ fn req(id: u64, stream: u32, offset: u64, len: u64) -> IoRequest {
     }
 }
 
-/// Draws the next request of a script: usually a back-merge candidate of
-/// the stream's previous request, sometimes a jump. `cursor` tracks each
+/// Draws the next request of a script: usually contiguous with the
+/// stream's previous request, sometimes a jump. `cursor` tracks each
 /// stream's next offset; `dead` streams were drained (torn down) and,
 /// like a destroyed domain's stream, never submit again.
 fn draw_request(
@@ -256,7 +240,7 @@ fn draw_request(
     Some(r)
 }
 
-/// Random `enqueue`/`dequeue`/`set_weight`/`try_merge`/`drain_stream`
+/// Random `enqueue`/`dequeue`/`set_weight`/`drain_stream`
 /// scripts produce the same dequeue sequence as the `BTreeMap` scan.
 #[test]
 fn wfq_heap_matches_btreemap_scan() {
@@ -270,22 +254,11 @@ fn wfq_heap_matches_btreemap_scan() {
         for step in 0..steps {
             let at = format!("seed {seed} step {step}");
             match rng.below(10) {
-                0..=3 => {
+                0..=4 => {
                     if let Some(r) = draw_request(rng, &mut next_id, &mut cursor, &dead, 256 << 10)
                     {
                         heap.enqueue(r);
                         scan.enqueue(r);
-                    }
-                }
-                4 => {
-                    if let Some(r) = draw_request(rng, &mut next_id, &mut cursor, &dead, 64 << 10) {
-                        let limit = rng.below(512 << 10);
-                        let merged = heap.try_merge(&r, limit);
-                        assert_eq!(merged, scan.try_merge(&r, limit), "{at}");
-                        if !merged {
-                            heap.enqueue(r);
-                            scan.enqueue(r);
-                        }
                     }
                 }
                 5..=7 => {
@@ -383,12 +356,9 @@ fn subsystem_script(
     max_len: u64,
 ) {
     let dev_seed = rng.next_u64();
-    let params = SubsystemParams {
-        max_merged_len: 256 << 10,
-        ..SubsystemParams::default()
-    };
-    let mut sub = StorageSubsystem::new(device(), params, SimRng::new(dev_seed));
-    let mut oracle = RefSubsystem::new(device(), params.max_merged_len, SimRng::new(dev_seed));
+    let mut sub =
+        StorageSubsystem::new(device(), SubsystemParams::default(), SimRng::new(dev_seed));
+    let mut oracle = RefSubsystem::new(device(), SimRng::new(dev_seed));
     let mut cursor = vec![0u64; STREAMS as usize];
     let mut dead = vec![false; STREAMS as usize];
     let mut next_id = 0;

@@ -134,14 +134,7 @@ fn subsystem_conserves_requests() {
             guard += 1;
             assert!(guard < 10_000, "no forward progress (seed {seed})");
         }
-        // Merging can combine submissions, so completions <= submissions,
-        // but bytes are conserved.
-        assert!(done <= items.len(), "seed {seed}");
-        assert_eq!(
-            done + sub.merged_count() as usize,
-            items.len(),
-            "seed {seed}"
-        );
+        assert_eq!(done, items.len(), "seed {seed}");
         let (rbytes, _) = sub.monitor().byte_counts();
         let expect: u64 = items.iter().map(|&(_, len)| len).sum();
         assert_eq!(rbytes, expect, "seed {seed}");

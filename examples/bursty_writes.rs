@@ -41,6 +41,7 @@ fn run(kind: SystemKind, rate: f64, burst: SimDuration) -> LatencySummary {
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
     let summary = LatencySummary::from_histogram(&rec.borrow().hist);
+    assert!(summary.count > 0, "{} recorded no ops", kind.label());
     summary
 }
 

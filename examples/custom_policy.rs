@@ -93,6 +93,7 @@ fn run(custom: bool) -> (f64, u64) {
     }
     sim.run_until(SimTime::from_secs(8));
     let now = sim.now();
+    assert!(rec.borrow().ops > 0, "custom={custom}: no ops recorded");
     let bps = rec.borrow().throughput_bps(now);
     let (_, writes) = sim.world().machine(idx).storage.monitor().byte_counts();
     (bps / 1e6, writes >> 20)
@@ -101,6 +102,11 @@ fn run(custom: bool) -> (f64, u64) {
 fn main() {
     let (plain_bps, plain_writes) = run(false);
     let (tamed_bps, tamed_writes) = run(true);
+    // The cap binds only if the rule fired: the tamed run writes less.
+    assert!(
+        tamed_writes < plain_writes,
+        "burst-tamer did not cut device writes: {tamed_writes} vs {plain_writes} MB"
+    );
     println!("4 file-server VMs in request waves, 8 simulated seconds\n");
     println!(
         "{:<24} {:>14} {:>18}",

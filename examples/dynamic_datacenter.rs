@@ -47,6 +47,11 @@ fn main() {
         let m = sim.world().machine(machine);
         let (rb, wb) = m.storage.monitor().byte_counts();
         let st = stats.borrow();
+        assert!(
+            st.started >= 1 && st.completed >= 1 && st.payload_bytes > 0,
+            "{}: no VM started and completed its job",
+            kind.label()
+        );
         println!(
             "{:<12} {:>8} {:>8} {:>9} {:>9.1}% {:>10.1}",
             kind.label(),

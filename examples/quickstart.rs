@@ -34,6 +34,7 @@ fn run(kind: SystemKind) -> LatencySummary {
     // 4. Run five simulated seconds and summarize.
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let summary = LatencySummary::from_histogram(&rec.borrow().hist);
+    assert!(summary.count > 0, "{} recorded no ops", kind.label());
     summary
 }
 

@@ -54,6 +54,11 @@ fn run(kind: SystemKind, clients: u32) -> TierReport {
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(8));
 
     let g = |r: &iorchestra_suite::workloads::Rec| {
+        assert!(
+            r.borrow().ops > 0,
+            "{}: a tier recorded no ops",
+            kind.label()
+        );
         let h = &r.borrow().hist;
         (h.mean().as_millis_f64(), h.mean())
     };

@@ -12,6 +12,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --offline
 cargo test -q --offline --workspace
 
+# `cargo test` compiles the examples but never runs them. Each example
+# asserts what it prints, so run every one and fail on a non-zero exit.
+cargo build --release --offline --examples
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    "target/release/examples/$name" > /dev/null || { echo "example $name failed"; exit 1; }
+done
+
 # The end-to-end benchmark is a separate cargo package built on the
 # simulator's public API; its self-tests run here so an API change that
 # breaks it fails tier 1 rather than the benchmark pipeline.

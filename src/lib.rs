@@ -5,7 +5,7 @@
 //!
 //! * [`simcore`] — deterministic discrete-event engine
 //! * [`metrics`] — latency histograms, CDFs, rate/utilization tracking
-//! * [`storage`] — SSD/HDD/RAID0 device models, host queue, blktrace monitor
+//! * [`storage`] — SSD/RAID0 device models, host queue, blktrace monitor
 //! * [`guestos`] — simulated Linux guest I/O stack (page cache, writeback,
 //!   request queue with congestion avoidance)
 //! * [`hypervisor`] — Xen-like machine: system store, rings, NUMA, I/O cores
