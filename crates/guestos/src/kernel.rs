@@ -7,8 +7,10 @@
 //! ([`enter_congestion`](GuestKernel::enter_congestion),
 //! [`grant_bypass`](GuestKernel::grant_bypass),
 //! [`remote_sync`](GuestKernel::remote_sync)) — and collects block requests
-//! for the frontend ring, completed file operations, and edge-triggered
-//! [`KernelSignal`]s from [`GuestKernel::swap_outputs`].
+//! for the frontend ring, asynchronously completed file operations, and
+//! edge-triggered [`KernelSignal`]s from [`GuestKernel::swap_outputs`]. An
+//! op that completes inside `start_op` is reported by its return value
+//! ([`OpStart::Done`]) and never enters the outputs.
 
 use std::collections::VecDeque;
 
@@ -71,6 +73,28 @@ pub struct CompletedOp {
     pub started: SimTime,
     /// Operation class.
     pub class: OpClass,
+}
+
+/// How [`GuestKernel::start_op`] left an op.
+#[derive(Clone, Copy, Debug)]
+pub enum OpStart {
+    /// Completed inside `start_op` (an all-resident read, a write below
+    /// the throttle, a sync with nothing dirty). It never appears in
+    /// [`KernelOutputs::completed`].
+    Done(CompletedOp),
+    /// Waits on block I/O or dirty pressure; its completion arrives in
+    /// [`KernelOutputs::completed`].
+    Pending(OpId),
+}
+
+impl OpStart {
+    /// The op's id.
+    pub fn op(&self) -> OpId {
+        match *self {
+            OpStart::Done(c) => c.op,
+            OpStart::Pending(op) => op,
+        }
+    }
 }
 
 /// Edge-triggered notifications for the collaboration layer.
@@ -184,7 +208,8 @@ struct PendingSubmit {
 pub struct KernelOutputs {
     /// Block requests to push into the frontend ring.
     pub to_ring: Vec<IoRequest>,
-    /// Completed file operations.
+    /// File operations that completed after the `start_op` call that
+    /// started them (inline completions are `start_op`'s return value).
     pub completed: Vec<CompletedOp>,
     /// Edge-triggered signals.
     pub signals: Vec<KernelSignal>,
@@ -414,6 +439,13 @@ impl GuestKernel {
         std::mem::swap(&mut self.out, spare);
     }
 
+    /// Whether anything awaits [`GuestKernel::swap_outputs`].
+    pub fn has_outputs(&self) -> bool {
+        !(self.out.to_ring.is_empty()
+            && self.out.completed.is_empty()
+            && self.out.signals.is_empty())
+    }
+
     /// The op a block request belongs to, if any (readahead and background
     /// writeback have no waiting op). The hypervisor uses this to attribute
     /// a ring request to the VCPU that issued the op.
@@ -425,26 +457,21 @@ impl GuestKernel {
         }
     }
 
-    fn alloc_op(&mut self, started: SimTime, class: OpClass, pending: usize) -> OpId {
-        let id = OpId(self.next_op);
+    fn alloc_op(&mut self, started: SimTime, class: OpClass, pending: usize) -> OpStart {
+        let op = OpId(self.next_op);
         self.next_op += 1;
         if pending == 0 {
-            self.out.completed.push(CompletedOp {
-                op: id,
-                started,
-                class,
-            });
-        } else {
-            self.ops.insert(
-                id,
-                OpState {
-                    started,
-                    pending,
-                    class,
-                },
-            );
+            return OpStart::Done(CompletedOp { op, started, class });
         }
-        id
+        self.ops.insert(
+            op,
+            OpState {
+                started,
+                pending,
+                class,
+            },
+        );
+        OpStart::Pending(op)
     }
 
     fn op_progress(&mut self, op: OpId, n: usize) {
@@ -461,18 +488,20 @@ impl GuestKernel {
         }
     }
 
-    /// Submit a file operation; its completion appears in the outputs.
-    pub fn start_op(&mut self, op: FileOp, now: SimTime) -> OpId {
-        let id = match op {
+    /// Submit a file operation. An op that completes at once is returned
+    /// as [`OpStart::Done`]; a pending one completes later through
+    /// [`KernelOutputs::completed`].
+    pub fn start_op(&mut self, op: FileOp, now: SimTime) -> OpStart {
+        let start = match op {
             FileOp::Read { file, offset, len } => self.start_read(file, offset, len, now),
             FileOp::Write { file, offset, len } => self.start_write(file, offset, len, now),
             FileOp::Sync => self.start_sync(now),
         };
         self.housekeeping(now);
-        id
+        start
     }
 
-    fn start_read(&mut self, file: FileId, offset: u64, len: u64, now: SimTime) -> OpId {
+    fn start_read(&mut self, file: FileId, offset: u64, len: u64, now: SimTime) -> OpStart {
         self.stats.reads += 1;
         let len = len.max(1);
         let (disk_off, sequential) = match self.vfs.translate_read(file, offset, len) {
@@ -496,12 +525,14 @@ impl GuestKernel {
         // Linux aborts readahead when the device looks congested; under a
         // collaborative bypass the host has said it is not, so the
         // prefetch pipeline is kept alive.
-        let ra_allowed = self.queue.bypass_active()
-            || (!self.queue.is_congested()
-                && self.queue.allocated()
-                    < crate::queue::congestion_on_threshold(self.cfg.queue.nr_requests));
+        let ra_allowed = || {
+            self.queue.bypass_active()
+                || (!self.queue.is_congested()
+                    && self.queue.allocated()
+                        < crate::queue::congestion_on_threshold(self.cfg.queue.nr_requests))
+        };
         let mut ra_chunks: Vec<ChunkIdx> = Vec::new();
-        if sequential && ra_allowed && self.cfg.readahead_chunks > 0 {
+        if sequential && ra_allowed() && self.cfg.readahead_chunks > 0 {
             let file_size = self.vfs.size_of(file).unwrap_or(0);
             let next = offset + len;
             let ra_len =
@@ -516,22 +547,26 @@ impl GuestKernel {
                 }
             }
         }
+        if missing.is_empty() && ra_chunks.is_empty() {
+            return self.alloc_op(now, OpClass::Read, 0);
+        }
         let runs = coalesce_chunks(missing, 8);
         if !runs.is_empty() {
             // The reader is about to block on these requests.
             self.unplug_now = true;
         }
-        let op = self.alloc_op(now, OpClass::Read, runs.len());
+        let start = self.alloc_op(now, OpClass::Read, runs.len());
+        let op = start.op();
         for run in runs {
             self.submit_block(IoKind::Read, ReqOwner::OpRead { op, run }, now);
         }
         for run in coalesce_chunks(ra_chunks, 8) {
             self.submit_block(IoKind::Read, ReqOwner::Readahead { run }, now);
         }
-        op
+        start
     }
 
-    fn start_write(&mut self, file: FileId, offset: u64, len: u64, now: SimTime) -> OpId {
+    fn start_write(&mut self, file: FileId, offset: u64, len: u64, now: SimTime) -> OpStart {
         self.stats.writes += 1;
         let len = len.max(1);
         let disk_off = match self.vfs.translate(file, offset, len) {
@@ -554,16 +589,16 @@ impl GuestKernel {
             // Writer throttling: the op completes only when dirty pressure
             // drops (balance_dirty_pages).
             self.stats.throttled_writes += 1;
-            let op = self.alloc_op(now, OpClass::Write, 1);
+            let start = self.alloc_op(now, OpClass::Write, 1);
             self.throttled
-                .push_back((op, now + self.cfg.wb.throttle_pause));
-            op
+                .push_back((start.op(), now + self.cfg.wb.throttle_pause));
+            start
         } else {
             self.alloc_op(now, OpClass::Write, 0)
         }
     }
 
-    fn start_sync(&mut self, now: SimTime) -> OpId {
+    fn start_sync(&mut self, now: SimTime) -> OpStart {
         self.stats.syncs += 1;
         let taken = self.wb.on_sync(&mut self.cache);
         if !taken.is_empty() {
@@ -580,16 +615,16 @@ impl GuestKernel {
         if !runs.is_empty() {
             self.unplug_now = true;
         }
-        let op = self.alloc_op(now, OpClass::Sync, runs.len());
+        let start = self.alloc_op(now, OpClass::Sync, runs.len());
         for run in runs {
             let owner = ReqOwner::Writeback {
                 run,
-                sync_op: Some(op),
+                sync_op: Some(start.op()),
                 remote: false,
             };
             self.submit_block(IoKind::Write, owner, now);
         }
-        op
+        start
     }
 
     /// IOrchestra `flush_now`: trigger `sync()` remotely (paper Alg. 1).
@@ -771,7 +806,25 @@ impl GuestKernel {
             }));
     }
 
+    /// Run the housekeeping pass unless its inputs are idle. Each step of
+    /// the pass is then a no-op: with nothing queued, `take_dispatchable`
+    /// only clears a plug deadline that the next `submit` overwrites
+    /// before anything reads it.
     fn housekeeping(&mut self, now: SimTime) {
+        if self.queue.is_idle()
+            && self.blocked.is_empty()
+            && self.throttled.is_empty()
+            && (self.cache.dirty_pages() > 0) == self.had_dirty
+        {
+            // The other inputs of the pass are set only while one of the
+            // above is pending, and congestion only voids a wake deadline.
+            debug_assert!(
+                self.blocked_wake_at.is_none()
+                    && self.throttle_timer_at.is_none()
+                    && !self.unplug_now
+            );
+            return;
+        }
         // 1. Queue events -> signals.
         self.forward_queue_events();
         // 2. Retry blocked submissions FIFO while the queue accepts them —
@@ -907,6 +960,9 @@ mod tests {
             t(0),
         );
         // Miss: op pending; the blocking reader unplugs immediately.
+        let OpStart::Pending(op1) = op1 else {
+            panic!("a miss must not complete inline");
+        };
         let out = take_outputs(&mut k);
         assert!(out.completed.is_empty());
         assert_eq!(out.to_ring.len(), 1);
@@ -915,7 +971,8 @@ mod tests {
         assert_eq!(out.completed.len(), 1);
         assert_eq!(out.completed[0].op, op1);
         assert_eq!(out.completed[0].class, OpClass::Read);
-        // Second read of the same range: pure cache hit, instant.
+        // Second read of the same range: pure cache hit, instant, and
+        // reported only by the return value.
         let op2 = k.start_op(
             FileOp::Read {
                 file: f,
@@ -924,9 +981,13 @@ mod tests {
             },
             t(2),
         );
-        let out = take_outputs(&mut k);
-        assert_eq!(out.completed.len(), 1);
-        assert_eq!(out.completed[0].op, op2);
+        let OpStart::Done(done) = op2 else {
+            panic!("a hit must complete inline");
+        };
+        assert_ne!(done.op, op1);
+        assert_eq!(done.started, t(2));
+        assert_eq!(done.class, OpClass::Read);
+        assert!(!k.has_outputs());
         assert!(k.stats().cache_hit_chunks >= 1);
     }
 
@@ -971,9 +1032,9 @@ mod tests {
             },
             t(0),
         );
+        assert!(matches!(op, OpStart::Done(c) if c.class == OpClass::Write));
         let out = take_outputs(&mut k);
-        assert_eq!(out.completed.len(), 1);
-        assert_eq!(out.completed[0].op, op);
+        assert!(out.completed.is_empty());
         assert_eq!(k.dirty_pages(), 4 * CHUNK_PAGES);
         assert!(out
             .signals
@@ -993,7 +1054,7 @@ mod tests {
             t(0),
         );
         take_outputs(&mut k);
-        let sync = k.start_op(FileOp::Sync, t(1));
+        let sync = k.start_op(FileOp::Sync, t(1)).op();
         // Not complete until the writeback requests finish — but the sync
         // barrier dispatched them to the ring immediately.
         let out = take_outputs(&mut k);
@@ -1061,8 +1122,11 @@ mod tests {
             },
             t(0),
         );
+        let OpStart::Pending(op) = op else {
+            panic!("writer must be throttled");
+        };
         let out = take_outputs(&mut k);
-        assert!(out.completed.is_empty(), "writer must be throttled");
+        assert!(out.completed.is_empty());
         assert_eq!(k.stats().throttled_writes, 1);
         // Let writeback complete; the writer wakes.
         k.on_timer(k.next_deadline());
@@ -1173,6 +1237,204 @@ mod tests {
         assert_eq!(k.dirty_pages(), 0);
         let out = take_outputs(&mut k);
         assert!(!out.to_ring.is_empty() || !k.queue_congested());
+    }
+
+    // Housekeeping returns early when its inputs are idle. A cache hit
+    // taken while one input is pending must still act on it.
+
+    fn read(file: FileId, offset: u64) -> FileOp {
+        FileOp::Read {
+            file,
+            offset,
+            len: CHUNK_SIZE,
+        }
+    }
+
+    /// A kernel whose file has its first chunk resident, outputs drained.
+    fn warm(c: GuestConfig) -> (GuestKernel, FileId) {
+        let mut k = GuestKernel::new(c, t(0));
+        let f = k.create_file(512 << 20).unwrap();
+        k.start_op(read(f, 0), t(0));
+        complete_all(&mut k, t(0));
+        (k, f)
+    }
+
+    /// Re-read the resident chunk (never sequential, so no readahead); it
+    /// must complete inline. Returns what the call left in the outputs.
+    fn hit(k: &mut GuestKernel, f: FileId, now: SimTime) -> KernelOutputs {
+        let start = k.start_op(read(f, 0), now);
+        assert!(matches!(start, OpStart::Done(c) if c.started == now));
+        take_outputs(k)
+    }
+
+    /// Fill a 16-descriptor queue with misses until the congestion query
+    /// fires, and answer it the baseline way.
+    fn congest(k: &mut GuestKernel, f: FileId, now: SimTime) -> Vec<RequestId> {
+        let mut ring = Vec::new();
+        for i in 1.. {
+            k.start_op(read(f, i * 7 * CHUNK_SIZE), now);
+            let out = take_outputs(k);
+            ring.extend(out.to_ring.iter().map(|r| r.id));
+            if out.signals.contains(&KernelSignal::CongestionQuery) {
+                k.enter_congestion(now);
+                return ring;
+            }
+        }
+        unreachable!()
+    }
+
+    fn small_queue() -> GuestConfig {
+        let mut c = cfg();
+        c.queue.nr_requests = 16;
+        c
+    }
+
+    #[test]
+    fn idle_hit_leaves_no_outputs() {
+        let (mut k, f) = warm(cfg());
+        let deadline = k.next_deadline();
+        let out = hit(&mut k, f, t(1));
+        assert!(out.to_ring.is_empty() && out.completed.is_empty() && out.signals.is_empty());
+        assert_eq!(k.next_deadline(), deadline);
+    }
+
+    #[test]
+    fn hit_dispatches_a_plugged_request_past_its_deadline() {
+        let mut c = cfg();
+        c.wb.background_ratio = 0.01;
+        c.wb.dirty_ratio = 0.5;
+        let (mut k, f) = warm(c);
+        // Background writeback waits out the 3 ms plug timer.
+        k.start_op(
+            FileOp::Write {
+                file: f,
+                offset: 1 << 20,
+                len: 8 * CHUNK_SIZE,
+            },
+            t(1),
+        );
+        assert!(take_outputs(&mut k).to_ring.is_empty());
+        assert_eq!(k.next_deadline(), t(4));
+        assert!(hit(&mut k, f, t(3)).to_ring.is_empty());
+        let out = hit(&mut k, f, t(4));
+        assert!(!out.to_ring.is_empty(), "the plug deadline passed");
+        assert!(out.to_ring.iter().all(|r| r.kind == IoKind::Write));
+    }
+
+    #[test]
+    fn hit_honours_a_pending_unplug() {
+        let mut c = cfg();
+        c.wb.background_ratio = 0.01;
+        c.wb.dirty_ratio = 0.5;
+        let (mut k, f) = warm(c);
+        k.start_op(
+            FileOp::Write {
+                file: f,
+                offset: 1 << 20,
+                len: 8 * CHUNK_SIZE,
+            },
+            t(1),
+        );
+        take_outputs(&mut k);
+        // A blocking submitter flushes the plug list before its deadline.
+        k.unplug_now = true;
+        let out = hit(&mut k, f, t(2));
+        assert!(!out.to_ring.is_empty());
+        assert!(!k.unplug_now);
+    }
+
+    #[test]
+    fn hit_forwards_a_pending_queue_event() {
+        let (mut k, f) = warm(cfg());
+        // The queue has raised an event the kernel has not yet polled.
+        k.enter_congestion(t(1));
+        k.queue.grant_bypass(t(1));
+        let out = hit(&mut k, f, t(1));
+        assert_eq!(out.signals, vec![KernelSignal::CongestionCleared]);
+    }
+
+    #[test]
+    fn hit_resubmits_a_blocked_request_when_its_wake_is_due() {
+        let (mut k, f) = warm(small_queue());
+        let ring = congest(&mut k, f, t(1));
+        k.start_op(read(f, 3 * CHUNK_SIZE), t(1));
+        assert_eq!(k.stats().congestion_blocked_ops, 1);
+        take_outputs(&mut k);
+        // Two completions take the queue below 13/16: the wake is armed
+        // one wake delay later.
+        for &id in &ring[..2] {
+            k.on_block_complete(id, t(2));
+        }
+        let out = take_outputs(&mut k);
+        assert!(out.signals.contains(&KernelSignal::CongestionCleared));
+        assert_eq!(k.next_deadline(), t(3));
+        let out = hit(&mut k, f, t(3));
+        assert!(k.blocked.is_empty(), "the blocked read was resubmitted");
+        // It is plugged again, with a fresh deadline.
+        assert!(out.to_ring.is_empty());
+        assert_eq!(k.next_deadline(), t(6));
+    }
+
+    #[test]
+    fn hit_voids_the_wake_of_a_recongested_queue() {
+        let (mut k, f) = warm(small_queue());
+        let ring = congest(&mut k, f, t(1));
+        k.start_op(read(f, 3 * CHUNK_SIZE), t(1));
+        for &id in &ring[..2] {
+            k.on_block_complete(id, t(2));
+        }
+        take_outputs(&mut k);
+        assert_eq!(k.next_deadline(), t(3));
+        // The queue congests again before the wake fires.
+        k.enter_congestion(t(2));
+        hit(&mut k, f, t(2));
+        assert_eq!(k.blocked.len(), 1);
+        assert!(k.next_deadline() > t(3), "the stale wake is voided");
+    }
+
+    #[test]
+    fn hit_wakes_a_throttled_writer() {
+        let mut c = cfg();
+        c.wb.dirty_ratio = 0.05;
+        c.wb.background_ratio = 0.04;
+        let (mut k, f) = warm(c);
+        let OpStart::Pending(writer) = k.start_op(
+            FileOp::Write {
+                file: f,
+                offset: 1 << 20,
+                len: 8 << 20,
+            },
+            t(1),
+        ) else {
+            panic!("writer must be throttled");
+        };
+        // Writeback drains the pressure before the writer's pause ends.
+        k.on_timer(t(4));
+        complete_all(&mut k, t(4));
+        assert_eq!(k.dirty_pages(), 0);
+        assert_eq!(k.next_deadline(), t(26));
+        let out = hit(&mut k, f, t(26));
+        assert_eq!(out.completed.len(), 1);
+        assert_eq!(out.completed[0].op, writer);
+        assert_eq!(out.completed[0].class, OpClass::Write);
+    }
+
+    #[test]
+    fn inline_write_reports_the_dirty_edge() {
+        let (mut k, f) = warm(cfg());
+        let start = k.start_op(
+            FileOp::Write {
+                file: f,
+                offset: 1 << 20,
+                len: CHUNK_SIZE,
+            },
+            t(1),
+        );
+        assert!(matches!(start, OpStart::Done(_)));
+        let out = take_outputs(&mut k);
+        assert_eq!(out.signals, vec![KernelSignal::DirtyStatusChanged(true)]);
+        // No edge on the next op: nothing to report.
+        assert!(hit(&mut k, f, t(2)).signals.is_empty());
     }
 
     #[test]

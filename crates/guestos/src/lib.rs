@@ -26,7 +26,7 @@ mod writeback;
 
 pub use kernel::{
     CompletedOp, FileOp, GuestConfig, GuestKernel, KernelOutputs, KernelSignal, KernelStats,
-    Misbehavior, OpClass, OpId,
+    Misbehavior, OpClass, OpId, OpStart,
 };
 pub use pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
 pub use queue::{

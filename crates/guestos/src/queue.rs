@@ -154,6 +154,11 @@ impl GuestQueue {
         self.bypass_grants
     }
 
+    /// Nothing plugged and no undrained events.
+    pub fn is_idle(&self) -> bool {
+        self.queued.is_empty() && self.events.is_empty()
+    }
+
     /// Drain edge-triggered events (the queue keeps its buffer).
     pub fn poll_events(&mut self) -> std::vec::Drain<'_, QueueEvent> {
         self.events.drain(..)

@@ -17,6 +17,7 @@ use std::rc::Rc;
 
 use iorch_guestos::{
     CompletedOp, FileOp, GuestConfig, GuestKernel, KernelOutputs, KernelSignal, OpClass, OpId,
+    OpStart,
 };
 use iorch_metrics::LatencyHistogram;
 use iorch_simcore::trace::TraceEventKind;
@@ -90,14 +91,6 @@ impl Waiter {
 struct PendingOp {
     vcpu: u32,
     waiter: Option<Waiter>,
-}
-
-/// An op [`Cluster::submit_op`] has just started, handed to output
-/// processing so a synchronous completion never touches the pending-op
-/// map.
-struct StartedOp {
-    op: OpId,
-    pending: PendingOp,
 }
 
 /// How block I/O reaches the host — the axis the paper's comparisons vary.
@@ -705,7 +698,7 @@ impl Cluster {
                 }
             );
             d.kernel.on_block_complete(req.id, now);
-            m.process_domain_outputs(s, slot, None);
+            m.process_domain_outputs(s, slot);
             m.dispatch_signals(s);
         }
         Cluster::drain_results(cl, idx, s);
@@ -719,7 +712,7 @@ impl Cluster {
         };
         d.timer_at = SimTime::MAX;
         d.kernel.on_timer(now);
-        m.process_domain_outputs(s, slot, None);
+        m.process_domain_outputs(s, slot);
         m.dispatch_signals(s);
         m.ensure_timer(s, dom);
         Cluster::drain_results(cl, idx, s);
@@ -1079,30 +1072,47 @@ impl Machine {
         op: FileOp,
         waiter: Option<Waiter>,
     ) {
-        let Some((slot, d)) = self.live_mut(dom) else {
+        let Some(slot) = self.slot_by_id.get(&dom).map(|&s| s as usize) else {
             return;
         };
-        let op = d.kernel.start_op(op, s.now());
-        let started = StartedOp {
-            op,
-            pending: PendingOp { vcpu, waiter },
-        };
-        self.process_domain_outputs(s, slot, Some(started));
+        let now = s.now();
+        let idx = self.idx;
+        let d = self.domains[slot].as_mut().expect("live slot");
+        match d.kernel.start_op(op, now) {
+            OpStart::Done(CompletedOp { op, started, class }) => {
+                // Queued ahead of the ops the same call completed
+                // asynchronously: the kernel finished this one first.
+                d.ops_completed += 1;
+                self.pending_results.push((
+                    OpResult {
+                        machine: idx,
+                        dom,
+                        op,
+                        class,
+                        started,
+                        finished: now,
+                    },
+                    waiter,
+                ));
+            }
+            // Registered before output processing routes the op's ring
+            // requests by its VCPU.
+            OpStart::Pending(op) => {
+                d.pending_ops.insert(op, PendingOp { vcpu, waiter });
+            }
+        }
+        if d.kernel.has_outputs() {
+            self.process_domain_outputs(s, slot);
+        } else {
+            d.arm_timer(idx, s);
+        }
         self.dispatch_signals(s);
     }
 
     /// Process the accumulated outputs of the guest kernel in `slot`:
-    /// route ring requests, queue op results, collect signals. `started`
-    /// is the op the caller has just started: if it already completed (a
-    /// cache hit) its waiter is queued directly, otherwise it is
-    /// registered as pending before its ring requests are routed by
-    /// issuing VCPU.
-    fn process_domain_outputs(
-        &mut self,
-        s: &mut Sched,
-        slot: usize,
-        mut started: Option<StartedOp>,
-    ) {
+    /// route ring requests by the issuing VCPU of their op, queue op
+    /// results, collect signals.
+    fn process_domain_outputs(&mut self, s: &mut Sched, slot: usize) {
         let now = s.now();
         let idx = self.idx;
         let d = self.domains[slot].as_mut().expect("live slot");
@@ -1116,11 +1126,7 @@ impl Machine {
             class,
         } in out.completed.drain(..)
         {
-            let waiter = if started.as_ref().is_some_and(|st| st.op == op) {
-                started.take().and_then(|st| st.pending.waiter)
-            } else {
-                d.pending_ops.remove(&op).and_then(|p| p.waiter)
-            };
+            let waiter = d.pending_ops.remove(&op).and_then(|p| p.waiter);
             d.ops_completed += 1;
             self.pending_results.push((
                 OpResult {
@@ -1133,9 +1139,6 @@ impl Machine {
                 },
                 waiter,
             ));
-        }
-        if let Some(st) = started {
-            d.pending_ops.insert(st.op, st.pending);
         }
         // Signals -> dispatched to the control plane at a safe point.
         self.pending_signals
@@ -1405,7 +1408,7 @@ impl Machine {
     pub fn cp_grant_bypass(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some((slot, d)) = self.live_mut(dom) {
             d.kernel.grant_bypass(s.now());
-            self.process_domain_outputs(s, slot, None);
+            self.process_domain_outputs(s, slot);
         }
     }
 
@@ -1413,7 +1416,7 @@ impl Machine {
     pub fn cp_remote_sync(&mut self, s: &mut Sched, dom: DomainId) {
         if let Some((slot, d)) = self.live_mut(dom) {
             d.kernel.remote_sync(s.now());
-            self.process_domain_outputs(s, slot, None);
+            self.process_domain_outputs(s, slot);
         }
     }
 
@@ -2070,5 +2073,81 @@ mod tests {
             let d = sim.world().machine(idx).domain(dom).unwrap();
             assert!(d.pending_ops.is_empty());
         }
+
+        // Mixed: an all-resident sequential read from VCPU 7 completes
+        // inline and issues readahead in the same call. Its result is
+        // queued while the readahead is still plugged in the guest, and
+        // the readahead, which has no op, goes out on VCPU 0's socket.
+        let chunk = iorch_guestos::CHUNK_SIZE;
+        let base = 30u64 << 20;
+        let read = |offset, len| FileOp::Read { file, offset, len };
+        let (cl, s) = sim.parts_mut();
+        cl.submit_op(s, idx, dom, 0, read(base, 2 * chunk), None);
+        let until = sim.now() + SimDuration::from_millis(100);
+        sim.run_until(until);
+        let (cl, s) = sim.parts_mut();
+        // A hit that leaves the read cursor one chunk before the end of
+        // the resident run.
+        cl.submit_op(s, idx, dom, 0, read(base, chunk), None);
+        let before: Vec<u64> = cl.machines[idx]
+            .iocores
+            .iter()
+            .map(|c| c.processed_count())
+            .collect();
+        let fired = Rc::new(RefCell::new(0u32));
+        let f = Rc::clone(&fired);
+        cl.submit_op(
+            s,
+            idx,
+            dom,
+            7,
+            read(base + chunk, chunk),
+            Some(Waiter::from_fn(move |cl, s, r| {
+                *f.borrow_mut() += 1;
+                let r = r.expect("an op wake carries its result");
+                assert_eq!(r.started, s.now(), "completed inline");
+                let m = cl.machine(r.machine);
+                assert!(m.iocores.iter().all(|c| c.backlog() == 0 && !c.busy()));
+            })),
+        );
+        assert_eq!(
+            *fired.borrow(),
+            1,
+            "the sequential hit must complete inline"
+        );
+        let m = &cl.machines[idx];
+        let d = m.domain(dom).unwrap();
+        assert!(d.pending_ops.is_empty());
+        // The readahead waits out the plug timer.
+        assert_eq!(
+            d.kernel.next_deadline(),
+            s.now() + d.kernel.config().queue.plug_delay
+        );
+        let until = sim.now() + SimDuration::from_millis(100);
+        sim.run_until(until);
+        assert_eq!(*fired.borrow(), 1);
+        let m = sim.world().machine(idx);
+        for (c, before) in m.iocores.iter().zip(before) {
+            let want = u64::from(c.socket() == sock0);
+            assert_eq!(
+                c.processed_count() - before,
+                want,
+                "readahead: I/O core on socket {}",
+                c.socket()
+            );
+        }
+        assert!(m.domain(dom).unwrap().pending_ops.is_empty());
+        // The readahead cached the chunks after the read.
+        let ra = read(base + 2 * chunk, 4 * chunk);
+        let (cl, s) = sim.parts_mut();
+        let misses = cl.machines[idx]
+            .domain(dom)
+            .unwrap()
+            .kernel
+            .stats()
+            .cache_miss_chunks;
+        cl.submit_op(s, idx, dom, 0, ra, None);
+        let k = &cl.machines[idx].domain(dom).unwrap().kernel;
+        assert_eq!(k.stats().cache_miss_chunks, misses);
     }
 }

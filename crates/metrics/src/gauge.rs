@@ -1,8 +1,9 @@
 //! Time-weighted gauges for utilization-style metrics.
 //!
-//! Average utilization (the paper's Fig. 10c reports CPU utilization) is
-//! a time-weighted average of a piecewise-constant signal, which is what
-//! [`TimeWeightedGauge`] computes online in O(1) memory.
+//! Average utilization (the storage crate's `DeviceMonitor` reports the
+//! busy-channel share of a device) is a time-weighted average of a
+//! piecewise-constant signal, which is what [`TimeWeightedGauge`]
+//! computes online in O(1) memory.
 
 use iorch_simcore::SimTime;
 

@@ -8,8 +8,9 @@
 //!   Figs. 5–6);
 //! * [`WindowedRate`] / [`Throughput`] — bandwidth monitoring (the
 //!   blktrace stand-in that drives the flush policy) and run throughput;
-//! * [`TimeWeightedGauge`] — time-weighted averages such as utilization
-//!   (paper Fig. 10c);
+//! * [`TimeWeightedGauge`] — time-weighted averages of a piecewise-constant
+//!   value (the storage crate's `DeviceMonitor` tracks busy-channel
+//!   utilization with one);
 //! * [`LatencySummary`] / [`Table`] — the row/series formatting used by
 //!   every bench harness;
 //! * [`TelemetryHub`] / [`LiveReport`] — live fixed-cadence export of

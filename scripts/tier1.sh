@@ -84,8 +84,10 @@ cargo test -q --offline -p iorch-simcore --release --test scheduler_differential
 scripts/bench_hotpath.sh
 
 # The trace recorder must also build and pass with the instrumentation
-# compiled out (the production hot-path configuration).
+# compiled out (the production hot-path configuration). It builds into
+# its own target directory, so `target/release/*` stays the traced build.
 export RUSTFLAGS="${RUSTFLAGS:-} --cfg iorch_trace_off"
+export CARGO_TARGET_DIR=target/trace-off
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
