@@ -1,12 +1,12 @@
 //! Micro-benchmarks for the hot data structures: system-store operations,
 //! the event queue, the latency histogram, the DRR poller and the WFQ host
 //! queue. Runs on the in-tree [`iorch_bench::timing`] harness (no external
-//! bench framework); set `IORCH_BENCH_QUICK=1` for a fast smoke run.
+//! bench framework).
 
 use std::hint::black_box;
 
 use iorch_bench::timing::Timer;
-use iorch_hypervisor::{CoreId, DomainId, IoCore, IoCoreParams, Perms, XenStore, DOM0};
+use iorch_hypervisor::{CoreId, DomainId, IoCore, Perms, XenStore, DOM0};
 use iorch_metrics::LatencyHistogram;
 use iorch_simcore::{Scheduler, SimDuration, SimTime, Simulation};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId, WfqQueue};
@@ -78,7 +78,7 @@ fn bench_histogram(t: &Timer) {
 
 fn bench_drr(t: &Timer) {
     t.time("iocore_drr_cycle", || {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         for i in 0..64u64 {
             core.enqueue(
                 DomainId((i % 4) as u32),
@@ -127,7 +127,7 @@ fn bench_wfq(t: &Timer) {
 }
 
 fn main() {
-    let t = Timer::from_env();
+    let t = Timer::default();
     bench_store(&t);
     bench_event_queue(&t);
     bench_histogram(&t);

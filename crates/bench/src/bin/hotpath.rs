@@ -12,8 +12,7 @@
 //!   * store-write cost must be sub-linear in non-matching watches
 //!     (1 vs 256 watchers on disjoint subtrees within 1.5x).
 //!
-//! Run via `scripts/bench_hotpath.sh` (release build). Set
-//! `IORCH_BENCH_QUICK=1` for a fast smoke run (same gate, noisier).
+//! Run via `scripts/bench_hotpath.sh` (release build).
 
 use iorch_bench::exp::{gate, Figure};
 use iorch_bench::timing::{Sample, Timer};
@@ -350,7 +349,7 @@ fn bench_watch_scaling(t: &Timer) -> (Sample, Sample, Pair) {
 }
 
 fn main() {
-    let t = Timer::from_env();
+    let t = Timer::default();
     println!(
         "hotpath bench: warmup {:?}, measure {:?} per case\n",
         t.warmup, t.measure
@@ -409,13 +408,8 @@ fn main() {
         vec![scale_many.ns_per_iter(), scale_one.ns_per_iter(), ratio],
     );
     fig.samples += scale_one.iters;
-    let profile = if std::env::var_os("IORCH_BENCH_QUICK").is_some() {
-        "quick"
-    } else {
-        "full"
-    };
     // Seedless wall-clock measurement; the schema's seed slot is 0.
-    let path = gate::write_root_artifact("BENCH_hotpath.json", &fig, "hotpath", profile, 0);
+    let path = gate::write_root_artifact("BENCH_hotpath.json", &fig, "hotpath", "full", 0);
     println!("\nwrote {}", path.display());
 
     // The gate.

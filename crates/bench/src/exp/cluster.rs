@@ -22,7 +22,7 @@ use std::rc::Rc;
 use iorch_hypervisor::{Cluster, VmSpec};
 use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Simulation};
 use iorchestra::cluster::ClusterTier;
-use iorchestra::{ClusterConfig, SystemKind};
+use iorchestra::SystemKind;
 
 use super::{Ctx, Figure};
 
@@ -39,7 +39,7 @@ impl Fleet {
         let machines: Vec<usize> = (0..nodes)
             .map(|m| SystemKind::IOrchestra.provision(cl, s, seed ^ u64::from(m)))
             .collect();
-        let tier = ClusterTier::install(cl, s, &machines, ClusterConfig::default());
+        let tier = ClusterTier::install(cl, s, &machines);
         {
             let mut t = tier.borrow_mut();
             for i in 0..doms {

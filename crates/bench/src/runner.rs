@@ -5,7 +5,7 @@ use std::rc::Rc;
 
 use iorch_hypervisor::{Cluster, VmSpec, Waiter};
 use iorch_metrics::LatencyHistogram;
-use iorch_netsim::{NetParams, Network, NodeId};
+use iorch_netsim::{Network, NodeId};
 use iorch_simcore::{SimDuration, SimTime, Simulation};
 use iorch_workloads::{
     recorder, spawn_arrivals, spawn_blast, spawn_cloud9, spawn_fileserver, spawn_multistream,
@@ -303,10 +303,7 @@ pub fn scaleout_run(
     cfg: RunCfg,
 ) -> (SimDuration, u64) {
     let mut sim = Simulation::new(Cluster::new());
-    let net = Rc::new(RefCell::new(Network::new(
-        machines + 1,
-        NetParams::default(),
-    )));
+    let net = Rc::new(RefCell::new(Network::new(machines + 1)));
     let master_net = NodeId(machines);
     let mut blast_vms = Vec::new();
     let mut ycsb_vms = Vec::new();

@@ -59,23 +59,6 @@ impl Default for Timer {
 }
 
 impl Timer {
-    /// Short budgets for smoke runs (also used under `cargo test`).
-    pub fn quick() -> Self {
-        Timer {
-            warmup: Duration::from_millis(20),
-            measure: Duration::from_millis(80),
-        }
-    }
-
-    /// Honour `IORCH_BENCH_QUICK=1` for fast smoke runs.
-    pub fn from_env() -> Self {
-        if std::env::var_os("IORCH_BENCH_QUICK").is_some() {
-            Timer::quick()
-        } else {
-            Timer::default()
-        }
-    }
-
     /// Measure `f`, returning the sample. The closure's return value goes
     /// through [`black_box`] so the work is not optimized away.
     pub fn time<R>(&self, name: &str, mut f: impl FnMut() -> R) -> Sample {

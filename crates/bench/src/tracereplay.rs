@@ -18,7 +18,7 @@ use iorch_simcore::trace::{TraceEvent, TraceSession};
 use iorch_simcore::{FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Simulation};
 use iorch_workloads::{recorder, spawn_multistream, MultiStreamParams, Rec, VmRef};
 use iorchestra::cluster::ClusterTier;
-use iorchestra::{ClusterConfig, SystemKind};
+use iorchestra::SystemKind;
 
 /// Named scenarios: `(name, one-line description)`.
 pub const SCENARIOS: &[(&str, &str)] = &[
@@ -194,7 +194,7 @@ pub fn run_cluster_scenario(
     // can still swap machine 0's plane.
     let m1 = SystemKind::IOrchestra.provision(cl, s, seed ^ 1);
     let m2 = SystemKind::IOrchestra.provision(cl, s, seed ^ 2);
-    let tier = ClusterTier::install(cl, s, &[idx, m1, m2], ClusterConfig::default());
+    let tier = ClusterTier::install(cl, s, &[idx, m1, m2]);
     {
         let mut t = tier.borrow_mut();
         for i in 0..8u32 {

@@ -16,14 +16,16 @@ use std::collections::BTreeMap;
 use iorch_hypervisor::{Cluster, DomainId, Sched, VmSpec};
 use iorch_netsim::{MsgBus, NodeId};
 use iorch_simcore::trace::{Decision, TraceEventKind};
-use iorch_simcore::{trace_event, SimTime};
+use iorch_simcore::{trace_event, SimDuration, SimTime};
 
 use super::msg::{Msg, NodeCaps};
-use super::ClusterConfig;
+use super::BACKOFF_CAP_SHIFT;
+
+/// Base re-registration backoff (doubled per attempt up to the cap).
+const REGISTER_BACKOFF: SimDuration = SimDuration::from_millis(150);
 
 /// One node's agent.
 pub struct NodeAgent {
-    cfg: ClusterConfig,
     node: u32,
     machine: usize,
     ctrl: NodeId,
@@ -42,15 +44,8 @@ pub struct NodeAgent {
 
 impl NodeAgent {
     /// An agent for cluster node `node`, driving machine `machine`.
-    pub fn new(
-        cfg: ClusterConfig,
-        node: u32,
-        machine: usize,
-        caps: NodeCaps,
-        ctrl: NodeId,
-    ) -> Self {
+    pub fn new(node: u32, machine: usize, caps: NodeCaps, ctrl: NodeId) -> Self {
         NodeAgent {
-            cfg,
             node,
             machine,
             ctrl,
@@ -106,8 +101,8 @@ impl NodeAgent {
             if now < self.next_register_at {
                 return;
             }
-            let shift = self.backoff_shift.min(self.cfg.backoff_cap_shift);
-            self.next_register_at = now + self.cfg.register_backoff * (1u64 << shift);
+            let shift = self.backoff_shift.min(BACKOFF_CAP_SHIFT);
+            self.next_register_at = now + REGISTER_BACKOFF * (1u64 << shift);
             self.backoff_shift += 1;
             self.send(
                 bus,

@@ -24,11 +24,19 @@ use std::collections::BTreeMap;
 use iorch_hypervisor::VmSpec;
 use iorch_netsim::{MsgBus, NodeId};
 use iorch_simcore::trace::{Decision, TraceEventKind};
-use iorch_simcore::{trace_event, SimTime};
+use iorch_simcore::{trace_event, SimDuration, SimTime};
 
 use super::msg::{Msg, NodeCaps};
 use super::placement::{NodeView, PlacementPipeline};
-use super::ClusterConfig;
+use super::BACKOFF_CAP_SHIFT;
+
+/// Lease granted per registration/heartbeat.
+const LEASE_TTL: SimDuration = SimDuration::from_millis(350);
+/// Base command-ack deadline (doubled per retry up to the cap).
+const RPC_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Command suppression window after a controller restart, while
+/// heartbeats rebuild the membership.
+const RECOVERY_GRACE: SimDuration = SimDuration::from_millis(300);
 
 /// A node as the controller currently believes it to be.
 #[derive(Clone, Debug)]
@@ -73,7 +81,6 @@ pub struct ControllerStats {
 /// and the message handlers; sends through the caller-provided bus so it
 /// stays borrow-disjoint from the rest of the tier.
 pub struct Controller {
-    cfg: ClusterConfig,
     ctrl: NodeId,
     /// Durable command epoch: bumped on every recovery, never reset.
     epoch: u64,
@@ -98,9 +105,8 @@ pub struct Controller {
 
 impl Controller {
     /// A fresh controller addressed as `ctrl` on the bus.
-    pub fn new(cfg: ClusterConfig, ctrl: NodeId) -> Self {
+    pub fn new(ctrl: NodeId) -> Self {
         Controller {
-            cfg,
             ctrl,
             epoch: 1,
             down: false,
@@ -200,7 +206,7 @@ impl Controller {
         self.down = false;
         self.epoch += 1;
         self.next_seq = 0;
-        self.grace_until = now + self.cfg.recovery_grace;
+        self.grace_until = now + RECOVERY_GRACE;
         trace_event!(
             now,
             TraceEventKind::Decision(Decision::ControllerRecover { epoch: self.epoch })
@@ -352,8 +358,8 @@ impl Controller {
         let inc = m.incarnation;
         self.next_seq += 1;
         let seq = self.next_seq;
-        let shift = attempt.min(self.cfg.backoff_cap_shift);
-        let deadline = now + self.cfg.rpc_timeout * (1u64 << shift);
+        let shift = attempt.min(BACKOFF_CAP_SHIFT);
+        let deadline = now + RPC_TIMEOUT * (1u64 << shift);
         let msg = if start {
             let Some(spec) = spec else { return };
             Msg::Start {
@@ -413,7 +419,7 @@ impl Controller {
         let msg = Msg::Lease {
             node,
             epoch: self.epoch,
-            ttl: self.cfg.lease_ttl,
+            ttl: LEASE_TTL,
         };
         let len = msg.wire_len();
         bus.send(self.ctrl, NodeId(node as usize), len, msg, now);
@@ -435,7 +441,7 @@ impl Controller {
             // the node kept its domains running.
             Some(m) if incarnation == m.incarnation => {
                 m.caps = caps;
-                m.lease_until = now + self.cfg.lease_ttl;
+                m.lease_until = now + LEASE_TTL;
                 if !m.alive {
                     m.alive = true;
                     trace_event!(
@@ -453,7 +459,7 @@ impl Controller {
                     Member {
                         incarnation,
                         caps,
-                        lease_until: now + self.cfg.lease_ttl,
+                        lease_until: now + LEASE_TTL,
                         alive: true,
                         owned: Vec::new(),
                     },
@@ -481,7 +487,7 @@ impl Controller {
             Some(m) if incarnation == m.incarnation => {
                 m.caps = caps;
                 m.owned = owned;
-                m.lease_until = now + self.cfg.lease_ttl;
+                m.lease_until = now + LEASE_TTL;
                 if !m.alive {
                     m.alive = true;
                     trace_event!(
@@ -500,7 +506,7 @@ impl Controller {
                     Member {
                         incarnation,
                         caps,
-                        lease_until: now + self.cfg.lease_ttl,
+                        lease_until: now + LEASE_TTL,
                         alive: true,
                         owned,
                     },

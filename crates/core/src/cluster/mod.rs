@@ -43,7 +43,7 @@ use std::fmt::Write as _;
 use std::rc::{Rc, Weak};
 
 use iorch_hypervisor::{Cluster, Machine, Sched, VmSpec};
-use iorch_netsim::{BusStats, MsgBus, NetParams, NodeId};
+use iorch_netsim::{BusStats, MsgBus, NodeId};
 use iorch_simcore::faults::{FaultKind, FaultPlan};
 use iorch_simcore::{SimDuration, SimTime};
 
@@ -52,56 +52,25 @@ pub use controller::{Controller, ControllerStats, Member};
 pub use msg::{Msg, NodeCaps};
 pub use placement::{NodeView, PlacementPipeline, PlacementRule};
 
-/// Timing and quota knobs of the cluster control tier.
-#[derive(Clone, Copy, Debug)]
-pub struct ClusterConfig {
-    /// Controller reconcile period.
-    pub controller_tick: SimDuration,
-    /// Agent heartbeat period.
-    pub heartbeat: SimDuration,
-    /// Lease granted per registration/heartbeat.
-    pub lease_ttl: SimDuration,
-    /// Base command-ack deadline (doubled per retry up to the cap).
-    pub rpc_timeout: SimDuration,
-    /// Base re-registration backoff (doubled per attempt up to the cap).
-    pub register_backoff: SimDuration,
-    /// Maximum doubling shift for both backoffs.
-    pub backoff_cap_shift: u32,
-    /// Command suppression window after a controller restart, while
-    /// heartbeats rebuild the membership.
-    pub recovery_grace: SimDuration,
-    /// VCPU overcommit factor applied to unreserved cores.
-    pub vcpu_overcommit: u32,
-    /// Per-node guest-memory quota in bytes.
-    pub mem_quota: u64,
-    /// NIC model parameters for the control bus.
-    pub net: NetParams,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            controller_tick: SimDuration::from_millis(50),
-            heartbeat: SimDuration::from_millis(100),
-            lease_ttl: SimDuration::from_millis(350),
-            rpc_timeout: SimDuration::from_millis(250),
-            register_backoff: SimDuration::from_millis(150),
-            backoff_cap_shift: 4,
-            recovery_grace: SimDuration::from_millis(300),
-            vcpu_overcommit: 4,
-            mem_quota: 64 << 30,
-            net: NetParams::default(),
-        }
-    }
-}
+/// Controller reconcile period.
+const CONTROLLER_TICK: SimDuration = SimDuration::from_millis(50);
+/// Agent heartbeat period.
+const HEARTBEAT: SimDuration = SimDuration::from_millis(100);
+/// Maximum doubling shift of the command-retry and re-registration
+/// backoffs.
+const BACKOFF_CAP_SHIFT: u32 = 4;
+/// VCPU overcommit factor applied to unreserved cores.
+pub const VCPU_OVERCOMMIT: u32 = 4;
+/// Per-node guest-memory quota in bytes.
+const MEM_QUOTA: u64 = 64 << 30;
 
 /// Derive a node's advertised capacity from its machine's topology.
-fn caps_of(m: &Machine, cfg: &ClusterConfig) -> NodeCaps {
+fn caps_of(m: &Machine) -> NodeCaps {
     let pc = m.placement_caps();
     NodeCaps {
-        total_vcpus: pc.total_cores * cfg.vcpu_overcommit,
-        numa_max_vcpus: pc.numa_max_cores * cfg.vcpu_overcommit,
-        mem_quota: cfg.mem_quota,
+        total_vcpus: pc.total_cores * VCPU_OVERCOMMIT,
+        numa_max_vcpus: pc.numa_max_cores * VCPU_OVERCOMMIT,
+        mem_quota: MEM_QUOTA,
     }
 }
 
@@ -111,7 +80,6 @@ fn caps_of(m: &Machine, cfg: &ClusterConfig) -> NodeCaps {
 /// so the tier dies (and its periodics stop) when the caller drops the
 /// [`Rc`].
 pub struct ClusterTier {
-    cfg: ClusterConfig,
     bus: MsgBus<Msg>,
     controller: Controller,
     agents: Vec<NodeAgent>,
@@ -128,27 +96,25 @@ impl ClusterTier {
         cl: &mut Cluster,
         s: &mut Sched,
         machines: &[usize],
-        cfg: ClusterConfig,
     ) -> Rc<RefCell<ClusterTier>> {
         let n = machines.len();
         let ctrl = NodeId(n);
         let agents: Vec<NodeAgent> = machines
             .iter()
             .enumerate()
-            .map(|(i, &m)| NodeAgent::new(cfg, i as u32, m, caps_of(cl.machine(m), &cfg), ctrl))
+            .map(|(i, &m)| NodeAgent::new(i as u32, m, caps_of(cl.machine(m)), ctrl))
             .collect();
         let tier = Rc::new_cyclic(|me| {
             RefCell::new(ClusterTier {
-                cfg,
-                bus: MsgBus::new(n + 1, cfg.net),
-                controller: Controller::new(cfg, ctrl),
+                bus: MsgBus::new(n + 1),
+                controller: Controller::new(ctrl),
                 agents,
                 me: me.clone(),
                 pump_at: SimTime::ZERO,
             })
         });
         let me = Rc::downgrade(&tier);
-        s.schedule_every(cfg.controller_tick, move |_cl: &mut Cluster, s| {
+        s.schedule_every(CONTROLLER_TICK, move |_cl: &mut Cluster, s| {
             let Some(t) = me.upgrade() else { return false };
             let mut t = t.borrow_mut();
             let t = &mut *t;
@@ -158,7 +124,7 @@ impl ClusterTier {
             true
         });
         let me = Rc::downgrade(&tier);
-        s.schedule_every(cfg.heartbeat, move |_cl: &mut Cluster, s| {
+        s.schedule_every(HEARTBEAT, move |_cl: &mut Cluster, s| {
             let Some(t) = me.upgrade() else { return false };
             let mut t = t.borrow_mut();
             let t = &mut *t;
@@ -170,11 +136,6 @@ impl ClusterTier {
             true
         });
         tier
-    }
-
-    /// The tier's configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
     }
 
     /// The controller (membership, catalog, desired placement, stats).
@@ -391,7 +352,7 @@ mod tests {
         let machines: Vec<usize> = (0..n)
             .map(|i| SystemKind::IOrchestra.provision(cl, s, 42 ^ i as u64))
             .collect();
-        let tier = ClusterTier::install(cl, s, &machines, ClusterConfig::default());
+        let tier = ClusterTier::install(cl, s, &machines);
         {
             let mut t = tier.borrow_mut();
             for i in 0..doms {

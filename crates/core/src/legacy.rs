@@ -21,13 +21,15 @@ use iorch_hypervisor::{
 use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
 
-use crate::anomaly::AnomalyDetector;
+use crate::anomaly::{AnomalyDetector, AnomalyParams};
 use crate::formulas::{
     drr_quantum, inverse_latency_weights, ratio_changed, socket_io_share, socket_process_weight,
 };
 use crate::keys::{self, val, DomainKeys};
 use crate::monitor::MonitoringModule;
-use crate::planes::{IOrchestraConfig, PlaneStats};
+use crate::planes::{
+    IOrchestraConfig, PlaneStats, FLUSH_ACK_TIMEOUT, FLUSH_RETRY_BACKOFF, RELEASE_ACK_TIMEOUT, TICK,
+};
 
 // --------------------------------------------------------------------
 // Baseline / SDC
@@ -147,7 +149,7 @@ pub struct LegacyIOrchestraPlane {
     denied_base: BTreeMap<DomainId, u64>,
     /// When each outstanding `release_request` command was issued. The
     /// per-tick reconciliation sweep re-issues a grant still sitting
-    /// unaccepted in the store past [`IOrchestraConfig::release_ack_timeout`]
+    /// unaccepted in the store past [`RELEASE_ACK_TIMEOUT`]
     /// — epochs make the re-issue idempotent, so a dropped bus delivery
     /// cannot strand a sleeping guest.
     release_pending: BTreeMap<DomainId, SimTime>,
@@ -191,7 +193,7 @@ impl LegacyIOrchestraPlane {
         LegacyIOrchestraPlane {
             rng: SimRng::new(cfg.seed ^ 0x10c),
             monitor: MonitoringModule::new(),
-            anomaly: AnomalyDetector::new(cfg.anomaly),
+            anomaly: AnomalyDetector::new(AnomalyParams::default()),
             write_count_base: BTreeMap::new(),
             denied_base: BTreeMap::new(),
             release_pending: BTreeMap::new(),
@@ -369,7 +371,7 @@ impl LegacyIOrchestraPlane {
             }
         }
         if let Some((nr_dirty, dom)) = best {
-            let deadline = now + self.cfg.flush_ack_timeout;
+            let deadline = now + FLUSH_ACK_TIMEOUT;
             self.flush_in_progress.insert(dom, deadline);
             self.stats.flushes_triggered += 1;
             trace_event!(
@@ -441,7 +443,7 @@ impl LegacyIOrchestraPlane {
             } else {
                 let shift = (streak - 1).min(6);
                 self.flush_backoff_until
-                    .insert(dom, now + self.cfg.flush_retry_backoff * (1u64 << shift));
+                    .insert(dom, now + FLUSH_RETRY_BACKOFF * (1u64 << shift));
             }
         }
     }
@@ -561,7 +563,7 @@ impl LegacyIOrchestraPlane {
                 continue;
             }
             match self.release_pending.get(&dom) {
-                Some(&issued) if now < issued + self.cfg.release_ack_timeout => {}
+                Some(&issued) if now < issued + RELEASE_ACK_TIMEOUT => {}
                 _ => {
                     // The grant delivery was dropped (or predates this
                     // plane incarnation): re-issue under a fresh epoch.
@@ -725,7 +727,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
     }
 
     fn tick_period(&self) -> Option<SimDuration> {
-        Some(self.cfg.tick)
+        Some(TICK)
     }
 
     fn on_domain_created(&mut self, m: &mut Machine, _s: &mut Sched, dom: DomainId) {
@@ -1010,7 +1012,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
         // recovery scan rebuilds what was persisted.
         self.rng = SimRng::new(self.cfg.seed ^ 0x10c);
         self.monitor = MonitoringModule::new();
-        self.anomaly = AnomalyDetector::new(self.cfg.anomaly);
+        self.anomaly = AnomalyDetector::new(AnomalyParams::default());
         self.write_count_base.clear();
         self.denied_base.clear();
         self.flush_in_progress.clear();
@@ -1175,7 +1177,7 @@ mod tests {
             // Every streak past the cap backs off by exactly base * 2^6.
             assert_eq!(
                 until,
-                now + plane.cfg.flush_retry_backoff * (1u64 << 6),
+                now + FLUSH_RETRY_BACKOFF * (1u64 << 6),
                 "streak {streak}"
             );
             assert!(until > now, "streak {streak}: backoff wrapped");

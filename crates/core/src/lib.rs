@@ -42,7 +42,7 @@ pub mod policy;
 mod system;
 
 pub use anomaly::{AnomalyDetector, AnomalyParams};
-pub use cluster::{ClusterConfig, ClusterTier, NodeAgent, NodeCaps};
+pub use cluster::{ClusterTier, NodeAgent, NodeCaps};
 pub use monitor::{MonitorReport, MonitoringModule};
 pub use planes::{FunctionSet, IOrchestraConfig, PlaneStats};
 pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule};

@@ -4,13 +4,26 @@
 //! [`PolicySet`](crate::policy::PolicySet)s executed by one
 //! [`PolicyEngine`](crate::policy::PolicyEngine) (see the
 //! [`policy`](crate::policy) module). This module keeps what is shared by
-//! every plane: [`FunctionSet`], [`IOrchestraConfig`] and
-//! [`PlaneStats`]. The paper's full system is
+//! every plane: [`FunctionSet`], [`IOrchestraConfig`], the engine's
+//! timing constants and [`PlaneStats`]. The paper's full system is
 //! `PolicyEngine::new(PolicySet::iorchestra(cfg))`.
 
 use iorch_simcore::SimDuration;
 
-use crate::anomaly::AnomalyParams;
+/// Monitoring/management tick of a collaborative plane.
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+/// How long a `flush_now` command may stay unacked before the management
+/// module gives the slot to the next-dirtiest domain. Three ticks: a
+/// healthy guest acks a flush well within one.
+pub(crate) const FLUSH_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(300);
+/// Base retry backoff after a flush timeout (doubles per consecutive
+/// timeout, capped at 64×).
+pub(crate) const FLUSH_RETRY_BACKOFF: SimDuration = SimDuration::from_secs(1);
+/// How long an issued `release_request` command may stay unaccepted
+/// (store value still non-zero) before the per-tick reconciliation sweep
+/// re-issues it under a fresh epoch. Keeps a guest alive when the bus
+/// drops the grant delivery.
+pub(crate) const RELEASE_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(300);
 
 /// Which of IOrchestra's three functions are enabled — §5 evaluates them
 /// individually (Figs. 8–11) and together (Figs. 4–7, 12).
@@ -67,8 +80,6 @@ impl FunctionSet {
 pub struct IOrchestraConfig {
     /// Enabled functions.
     pub functions: FunctionSet,
-    /// Monitoring/management tick.
-    pub tick: SimDuration,
     /// Max random interleave when waking congested VMs (paper: 0–99 ms).
     pub wake_interleave_max_ms: u64,
     /// Co-scheduler: minimum interval between weight pushes (paper: 1 s).
@@ -78,21 +89,8 @@ pub struct IOrchestraConfig {
     pub weight_change_threshold: f64,
     /// DRR polling-round length used to scale quanta.
     pub drr_round: SimDuration,
-    /// Anomaly-detector settings.
-    pub anomaly: AnomalyParams,
-    /// How long a `flush_now` command may stay unacked before the
-    /// management module gives the slot to the next-dirtiest domain.
-    pub flush_ack_timeout: SimDuration,
-    /// Base retry backoff after a flush timeout (doubles per consecutive
-    /// timeout, capped at 64×).
-    pub flush_retry_backoff: SimDuration,
     /// Consecutive flush timeouts after which a domain is quarantined.
     pub flush_max_retries: u32,
-    /// How long an issued `release_request` command may stay unaccepted
-    /// (store value still non-zero) before the per-tick reconciliation
-    /// sweep re-issues it under a fresh epoch. Keeps a guest alive when
-    /// the bus drops the grant delivery.
-    pub release_ack_timeout: SimDuration,
     /// RNG seed for the wake interleave.
     pub seed: u64,
 }
@@ -102,17 +100,11 @@ impl IOrchestraConfig {
     pub fn new(seed: u64) -> Self {
         IOrchestraConfig {
             functions: FunctionSet::all(),
-            tick: SimDuration::from_millis(100),
             wake_interleave_max_ms: 99,
             weight_update_interval: SimDuration::from_secs(1),
             weight_change_threshold: 0.5,
             drr_round: SimDuration::from_millis(1),
-            anomaly: AnomalyParams::default(),
-            // Three ticks: a healthy guest acks a flush well within one.
-            flush_ack_timeout: SimDuration::from_millis(300),
-            flush_retry_backoff: SimDuration::from_secs(1),
             flush_max_retries: 3,
-            release_ack_timeout: SimDuration::from_millis(300),
             seed,
         }
     }

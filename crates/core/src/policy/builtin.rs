@@ -35,7 +35,6 @@ use super::{Action, EnforcementPoint, FlushMode, PolicyCtx, PolicySet, Rule, Ver
 ///
 /// [`QueueAdmission`]: EnforcementPoint::QueueAdmission
 pub struct AnomalyRule {
-    params: AnomalyParams,
     detector: AnomalyDetector,
     write_count_base: BTreeMap<DomainId, u64>,
     denied_base: BTreeMap<DomainId, u64>,
@@ -49,15 +48,20 @@ pub struct AnomalyRule {
 }
 
 impl AnomalyRule {
-    /// New rule with the given budget parameters.
-    pub fn new(params: AnomalyParams) -> Self {
+    /// New rule with the default budgets ([`AnomalyParams::default`]).
+    pub fn new() -> Self {
         AnomalyRule {
-            params,
-            detector: AnomalyDetector::new(params),
+            detector: AnomalyDetector::new(AnomalyParams::default()),
             write_count_base: BTreeMap::new(),
             denied_base: BTreeMap::new(),
             last_totals: None,
         }
+    }
+}
+
+impl Default for AnomalyRule {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -114,7 +118,7 @@ impl Rule for AnomalyRule {
     }
 
     fn on_crash(&mut self) {
-        self.detector = AnomalyDetector::new(self.params);
+        self.detector = AnomalyDetector::new(AnomalyParams::default());
         self.write_count_base.clear();
         self.denied_base.clear();
         self.last_totals = None;
@@ -400,10 +404,9 @@ impl PolicySet {
     /// configuration, not a fork).
     pub fn iorchestra(cfg: IOrchestraConfig) -> PolicySet {
         let f = cfg.functions;
-        let anomaly = cfg.anomaly;
         let mut set = PolicySet::custom("iorchestra", cfg)
             .collaborative(true)
-            .rule(EnforcementPoint::QueueAdmission, AnomalyRule::new(anomaly));
+            .rule(EnforcementPoint::QueueAdmission, AnomalyRule::new());
         if f.flush {
             set = set.rule(EnforcementPoint::CommandIssue, FlushArgmaxRule);
         }

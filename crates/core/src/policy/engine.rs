@@ -43,7 +43,7 @@ use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
 
 use crate::keys::{self, val, DomainKeys};
 use crate::monitor::{MonitorReport, MonitoringModule};
-use crate::planes::PlaneStats;
+use crate::planes::{PlaneStats, FLUSH_ACK_TIMEOUT, FLUSH_RETRY_BACKOFF, RELEASE_ACK_TIMEOUT};
 
 use super::slab::PlaneSlab;
 use super::{Action, EnforcementPoint, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
@@ -365,7 +365,7 @@ impl PolicyEngine {
                 {
                     return;
                 }
-                let deadline = now + self.set.cfg.flush_ack_timeout;
+                let deadline = now + FLUSH_ACK_TIMEOUT;
                 if let Some(slot) = self.slab.slot_mut(m, dom) {
                     slot.flush_in_progress = Some(deadline);
                     self.slab.mark_flush_active(dom);
@@ -529,7 +529,7 @@ impl PolicyEngine {
                 self.quarantine(m, dom, now, "flush-timeout streak");
             } else {
                 let shift = (streak - 1).min(6);
-                let until = now + self.set.cfg.flush_retry_backoff * (1u64 << shift);
+                let until = now + FLUSH_RETRY_BACKOFF * (1u64 << shift);
                 if let Some(slot) = self.slab.slot_mut(m, dom) {
                     slot.flush_backoff_until = Some(until);
                 }
@@ -658,9 +658,7 @@ impl PolicyEngine {
                             Fix::Adjudicate
                         } else {
                             match slot.release_pending {
-                                Some(issued) if now < issued + self.set.cfg.release_ack_timeout => {
-                                    Fix::Keep
-                                }
+                                Some(issued) if now < issued + RELEASE_ACK_TIMEOUT => Fix::Keep,
                                 // The grant delivery was dropped (or
                                 // predates this plane incarnation):
                                 // re-issue under a fresh epoch.
@@ -1373,7 +1371,7 @@ mod tests {
             // Every streak past the cap backs off by exactly base * 2^6.
             assert_eq!(
                 until,
-                now + plane.set.cfg.flush_retry_backoff * (1u64 << 6),
+                now + FLUSH_RETRY_BACKOFF * (1u64 << 6),
                 "streak {streak}"
             );
             assert!(until > now, "streak {streak}: backoff wrapped");

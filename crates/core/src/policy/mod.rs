@@ -364,7 +364,7 @@ pub struct PolicySet {
 
 impl PolicySet {
     /// Start a custom set: no rules, non-collaborative, ticking at
-    /// `cfg.tick`. Chain [`rule`](PolicySet::rule),
+    /// [`TICK`](crate::planes::TICK). Chain [`rule`](PolicySet::rule),
     /// [`collaborative`](PolicySet::collaborative), etc. Note the engine
     /// derives its behaviour from the *rules* (and the collaborative
     /// flag), not from `cfg.functions` — that field only drives the
@@ -372,7 +372,7 @@ impl PolicySet {
     pub fn custom(name: &'static str, cfg: IOrchestraConfig) -> Self {
         PolicySet {
             name,
-            tick: Some(cfg.tick),
+            tick: Some(crate::planes::TICK),
             collaborative: false,
             rules: Vec::new(),
             cfg,

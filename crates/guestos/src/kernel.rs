@@ -19,7 +19,7 @@ use iorch_simcore::{trace_event, IdMap, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};
 
 use crate::pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
-use crate::queue::{GuestQueue, GuestQueueParams, QueueEvent, Submit};
+use crate::queue::{GuestQueue, GuestQueueParams, QueueEvent, Submit, WAKE_DELAY};
 use crate::vfs::{FileId, Vfs, VfsError};
 use crate::writeback::{coalesce_chunks, run_to_bytes, Writeback, WritebackParams};
 
@@ -116,13 +116,15 @@ pub enum KernelSignal {
     RemoteSyncCompleted,
 }
 
+/// Fraction of guest memory usable as page cache (the rest is kernel,
+/// process memory and free-page reserve).
+const CACHE_FRACTION: f64 = 0.75;
+
 /// Static configuration of one guest.
 #[derive(Clone, Copy, Debug)]
 pub struct GuestConfig {
-    /// Guest memory in bytes; the page cache gets `cache_fraction` of it.
+    /// Guest memory in bytes; the page cache gets 3/4 of it.
     pub mem_bytes: u64,
-    /// Fraction of memory usable as page cache.
-    pub cache_fraction: f64,
     /// Virtual disk size in bytes.
     pub vdisk_size: u64,
     /// Storage-layer stream id for this guest's virtual disk.
@@ -140,7 +142,6 @@ impl GuestConfig {
     pub fn new(mem_bytes: u64, vdisk_size: u64, stream: StreamId) -> Self {
         GuestConfig {
             mem_bytes,
-            cache_fraction: 0.75,
             vdisk_size,
             stream,
             queue: GuestQueueParams::default(),
@@ -150,8 +151,7 @@ impl GuestConfig {
     }
 
     fn cache_pages(&self) -> u64 {
-        (((self.mem_bytes as f64 * self.cache_fraction) / PAGE_SIZE as f64) as u64)
-            .max(4 * CHUNK_PAGES)
+        (((self.mem_bytes as f64 * CACHE_FRACTION) / PAGE_SIZE as f64) as u64).max(4 * CHUNK_PAGES)
     }
 }
 
@@ -246,9 +246,6 @@ pub struct Misbehavior {
     /// Ignore `release_request` grants: [`GuestKernel::grant_bypass`] does
     /// nothing, so the guest stays asleep until queue hysteresis clears.
     pub ignore_release_request: bool,
-    /// The guest's store-facing driver is hammering the system store with
-    /// junk writes (enacted by the hypervisor, which owns the store).
-    pub hammer_store: bool,
 }
 
 /// The simulated guest kernel.
@@ -322,11 +319,6 @@ impl GuestKernel {
     /// The storage stream this guest's virtual disk maps to.
     pub fn stream(&self) -> StreamId {
         self.cfg.stream
-    }
-
-    /// The guest configuration.
-    pub fn config(&self) -> &GuestConfig {
-        &self.cfg
     }
 
     /// Cumulative statistics.
@@ -787,15 +779,6 @@ impl GuestKernel {
         self.housekeeping(now);
     }
 
-    /// The host became congested after all; stop bypassing. Runs
-    /// housekeeping so a re-raised congestion query (queue still at/above
-    /// the on threshold) surfaces as a signal immediately instead of
-    /// waiting for the next submission.
-    pub fn revoke_bypass(&mut self, now: SimTime) {
-        self.queue.revoke_bypass(now);
-        self.housekeeping(now);
-    }
-
     /// Drain the queue's edge-triggered events into the signal outputs.
     fn forward_queue_events(&mut self) {
         self.out
@@ -838,7 +821,7 @@ impl GuestKernel {
         if !self.blocked.is_empty() && !self.queue.is_congested() {
             match self.blocked_wake_at {
                 None => {
-                    self.blocked_wake_at = Some(now + self.cfg.queue.wake_delay);
+                    self.blocked_wake_at = Some(now + WAKE_DELAY);
                 }
                 Some(wake_at) if now >= wake_at => {
                     self.blocked_wake_at = None;

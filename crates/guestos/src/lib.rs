@@ -31,7 +31,7 @@ pub use kernel::{
 pub use pagecache::{chunks_of, ChunkIdx, PageCache, CHUNK_PAGES, CHUNK_SIZE, PAGE_SIZE};
 pub use queue::{
     congestion_off_threshold, congestion_on_threshold, GuestQueue, GuestQueueParams, QueueEvent,
-    Submit, NR_REQUESTS,
+    Submit, NR_REQUESTS, PLUG_DELAY,
 };
 pub use vfs::{FileId, Vfs, VfsError};
 pub use writeback::{coalesce_chunks, run_to_bytes, Writeback, WritebackParams};

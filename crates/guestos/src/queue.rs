@@ -30,31 +30,30 @@ pub fn congestion_off_threshold(nr_requests: usize) -> usize {
     nr_requests * 13 / 16
 }
 
+/// Dispatch when this many requests are plugged (Linux's
+/// `BLK_MAX_REQUEST_COUNT`).
+const PLUG_MAX: usize = 16;
+/// ... or when the oldest plugged request is this old (the unplug timer).
+pub const PLUG_DELAY: SimDuration = SimDuration::from_millis(3);
+/// Delay between the congestion flag clearing and blocked submitters
+/// actually resuming (context switch + VCPU scheduling of the woken
+/// process — the sleep cost §3.2 attributes to congestion avoidance).
+pub(crate) const WAKE_DELAY: SimDuration = SimDuration::from_millis(1);
+
 /// Tunables for the guest queue.
 #[derive(Clone, Copy, Debug)]
 pub struct GuestQueueParams {
     /// Request descriptor limit (`nr_requests`).
     pub nr_requests: usize,
-    /// Dispatch when this many requests are plugged.
-    pub plug_max: usize,
-    /// ... or when the oldest plugged request is this old.
-    pub plug_delay: SimDuration,
     /// Hard ceiling on allocation while the collaborative bypass is active.
     pub bypass_hard_limit: usize,
-    /// Delay between the congestion flag clearing and blocked submitters
-    /// actually resuming (context switch + VCPU scheduling of the woken
-    /// process — the sleep cost §3.2 attributes to congestion avoidance).
-    pub wake_delay: SimDuration,
 }
 
 impl Default for GuestQueueParams {
     fn default() -> Self {
         GuestQueueParams {
             nr_requests: NR_REQUESTS,
-            plug_max: 16,
-            plug_delay: SimDuration::from_millis(3),
             bypass_hard_limit: NR_REQUESTS * 4,
-            wake_delay: SimDuration::from_millis(1),
         }
     }
 }
@@ -192,7 +191,7 @@ impl GuestQueue {
             return Submit::Blocked;
         }
         if self.queued.is_empty() {
-            self.plug_deadline = Some(now + self.params.plug_delay);
+            self.plug_deadline = Some(now + PLUG_DELAY);
         }
         trace_event!(
             now,
@@ -253,31 +252,6 @@ impl GuestQueue {
         self.plug_deadline = Some(SimTime::ZERO);
     }
 
-    /// The host *became* congested while a bypass was active; revert to
-    /// normal congestion behaviour. If allocation still sits at/above the
-    /// on threshold the congestion-avoidance query is re-raised — without
-    /// it a full queue would neither sleep nor re-query until the next
-    /// submission.
-    pub fn revoke_bypass(&mut self, now: SimTime) {
-        let was_active = self.bypass;
-        self.bypass = false;
-        let on = congestion_on_threshold(self.params.nr_requests);
-        let requery = !self.congested && !self.query_outstanding && self.allocated() >= on;
-        if requery {
-            self.query_outstanding = true;
-            self.events.push(QueueEvent::CongestionWouldEnter);
-        }
-        if was_active {
-            trace_event!(
-                now,
-                TraceEventKind::BypassRevoke {
-                    dom: self.tag,
-                    requery,
-                }
-            );
-        }
-    }
-
     /// Earliest plug deadline, for the kernel's timer scheduling.
     pub fn plug_deadline(&self) -> Option<SimTime> {
         if self.queued.is_empty() {
@@ -298,7 +272,7 @@ impl GuestQueue {
     ) -> vec_deque::Drain<'_, IoRequest> {
         let unplug = force_unplug
             || self.bypass
-            || self.queued.len() >= self.params.plug_max
+            || self.queued.len() >= PLUG_MAX
             || self.plug_deadline.is_some_and(|d| now >= d);
         if !unplug {
             return self.queued.drain(0..0);
@@ -503,33 +477,6 @@ mod tests {
                                          // A fresh crossing must produce a fresh query.
         fill(&mut q, 9, 700);
         assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
-    }
-
-    #[test]
-    fn revoke_bypass_requeries_when_still_full() {
-        let mut q = GuestQueue::new(GuestQueueParams::default());
-        fill(&mut q, 112, 0);
-        q.poll_events();
-        q.grant_bypass(SimTime::ZERO);
-        fill(&mut q, 30, 800); // well past the on threshold, bypassing
-        assert!(events(&mut q).is_empty());
-        q.revoke_bypass(SimTime::ZERO);
-        assert!(!q.bypass_active());
-        // Allocation (142) >= on (112): the query must be re-raised.
-        assert_eq!(events(&mut q), vec![QueueEvent::CongestionWouldEnter]);
-        // And latched: revoking again does not duplicate it.
-        q.revoke_bypass(SimTime::ZERO);
-        assert!(events(&mut q).is_empty());
-    }
-
-    #[test]
-    fn revoke_bypass_quiet_when_below_threshold() {
-        let mut q = GuestQueue::new(GuestQueueParams::default());
-        fill(&mut q, 50, 0);
-        q.grant_bypass(SimTime::ZERO);
-        q.poll_events();
-        q.revoke_bypass(SimTime::ZERO);
-        assert!(events(&mut q).is_empty());
     }
 
     #[test]

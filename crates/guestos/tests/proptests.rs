@@ -358,7 +358,7 @@ fn congestion_hysteresis() {
 }
 
 /// Event-dedup invariant: across arbitrary interleavings of submissions,
-/// completions, answers (enter/grant) and revokes, at most one
+/// completions and answers (enter/grant), at most one
 /// `CongestionWouldEnter` is ever outstanding (unanswered), and a new one
 /// is only raised after the previous was answered or voided by falling
 /// below the off threshold.
@@ -409,13 +409,10 @@ fn at_most_one_unanswered_congestion_query() {
                     q.enter_congestion(SimTime::ZERO);
                     unanswered = 0;
                 }
-                // Answer with a release, then sometimes revoke it.
+                // Answer with a release.
                 _ => {
                     q.grant_bypass(SimTime::ZERO);
                     unanswered = 0;
-                    if rng.chance(0.5) {
-                        q.revoke_bypass(SimTime::ZERO);
-                    }
                 }
             }
             for ev in q.poll_events() {

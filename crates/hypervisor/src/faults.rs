@@ -104,16 +104,11 @@ impl Cluster {
                 FaultKind::StoreHammer { dom, period } => {
                     let dom = DomainId(dom);
                     let path = format!("{}/junk", XenStore::domain_path(dom));
-                    s.schedule_at(from, move |cl: &mut Cluster, s| {
-                        set_flag(cl, idx, dom, true, |m, on| m.hammer_store = on);
+                    s.schedule_at(from, move |_cl: &mut Cluster, s| {
                         let path = path.clone();
                         let mut n: u64 = 0;
                         s.schedule_every(period, move |cl: &mut Cluster, s| {
-                            if s.now() >= until {
-                                set_flag(cl, idx, dom, false, |m, on| m.hammer_store = on);
-                                return false;
-                            }
-                            if cl.machines[idx].domain(dom).is_none() {
+                            if s.now() >= until || cl.machines[idx].domain(dom).is_none() {
                                 return false;
                             }
                             n += 1;

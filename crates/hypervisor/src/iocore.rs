@@ -17,29 +17,14 @@ use iorch_storage::IoRequest;
 use crate::domain::DomainId;
 use crate::numa::CoreId;
 
-/// Processing cost model of one polling core.
-#[derive(Clone, Copy, Debug)]
-pub struct IoCoreParams {
-    /// Fixed per-request handling cost (descriptor parse, submit).
-    pub per_req_overhead: SimDuration,
-    /// Grant-copy bandwidth for same-socket payloads, bytes/s.
-    pub copy_bw_local: u64,
-    /// Grant-copy bandwidth for cross-socket payloads, bytes/s.
-    pub copy_bw_remote: u64,
-    /// Default quantum in bytes for newly seen VMs.
-    pub default_quantum: u64,
-}
-
-impl Default for IoCoreParams {
-    fn default() -> Self {
-        IoCoreParams {
-            per_req_overhead: SimDuration::from_micros(3),
-            copy_bw_local: 6_000_000_000,
-            copy_bw_remote: 4_000_000_000,
-            default_quantum: 1 << 20, // 1 MiB
-        }
-    }
-}
+/// Fixed per-request handling cost (descriptor parse, submit).
+pub const PER_REQ_OVERHEAD: SimDuration = SimDuration::from_micros(3);
+/// Grant-copy bandwidth for same-socket payloads, bytes/s.
+pub const COPY_BW_LOCAL: u64 = 6_000_000_000;
+/// Grant-copy bandwidth for cross-socket payloads, bytes/s.
+pub const COPY_BW_REMOTE: u64 = 4_000_000_000;
+/// Quantum in bytes of a VM whose quantum was never set (1 MiB).
+pub const DEFAULT_QUANTUM: u64 = 1 << 20;
 
 #[derive(Clone, Copy, Debug)]
 struct Buffered {
@@ -73,7 +58,6 @@ struct DrrDomain {
 pub struct IoCore {
     socket: usize,
     core: CoreId,
-    params: IoCoreParams,
     /// DRR state of every VM that buffered a request or had its quantum
     /// set, until [`IoCore::remove_domain`].
     doms: IdMap<DomainId, DrrDomain>,
@@ -87,11 +71,10 @@ pub struct IoCore {
 
 impl IoCore {
     /// A polling core on `socket`, pinned to physical `core`.
-    pub fn new(socket: usize, core: CoreId, params: IoCoreParams) -> Self {
+    pub fn new(socket: usize, core: CoreId) -> Self {
         IoCore {
             socket,
             core,
-            params,
             doms: IdMap::default(),
             rotation: VecDeque::new(),
             current: None,
@@ -112,11 +95,10 @@ impl IoCore {
     }
 
     fn dom_mut(&mut self, dom: DomainId) -> &mut DrrDomain {
-        let quantum = self.params.default_quantum;
         self.doms.entry(dom).or_insert_with(|| DrrDomain {
             buf: VecDeque::new(),
             credit: 0,
-            quantum,
+            quantum: DEFAULT_QUANTUM,
             in_rotation: false,
         })
     }
@@ -129,9 +111,7 @@ impl IoCore {
 
     /// Current quantum for a VM.
     pub fn quantum(&self, dom: DomainId) -> u64 {
-        self.doms
-            .get(&dom)
-            .map_or(self.params.default_quantum, |d| d.quantum)
+        self.doms.get(&dom).map_or(DEFAULT_QUANTUM, |d| d.quantum)
     }
 
     /// Is the core currently processing a request?
@@ -233,12 +213,12 @@ impl IoCore {
                     self.current = None;
                 }
                 let bw = if front.remote {
-                    self.params.copy_bw_remote
+                    COPY_BW_REMOTE
                 } else {
-                    self.params.copy_bw_local
+                    COPY_BW_LOCAL
                 };
-                let cost = self.params.per_req_overhead
-                    + SimDuration::from_secs_f64(front.req.len as f64 / bw as f64);
+                let cost =
+                    PER_REQ_OVERHEAD + SimDuration::from_secs_f64(front.req.len as f64 / bw as f64);
                 self.in_process = Some(InProcess {
                     dom,
                     req: front.req,
@@ -315,7 +295,7 @@ mod tests {
 
     #[test]
     fn single_vm_fifo() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         for i in 0..5 {
             core.enqueue(DomainId(1), req(i, 4096), false, SimTime::ZERO);
         }
@@ -325,7 +305,7 @@ mod tests {
 
     #[test]
     fn processing_cost_includes_copy() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.enqueue(DomainId(1), req(0, 6_000_000), false, SimTime::ZERO);
         let done = core.start_next(SimTime::ZERO).unwrap();
         // 6 MB at 6 GB/s = 1 ms plus 3us overhead.
@@ -337,9 +317,8 @@ mod tests {
 
     #[test]
     fn remote_copy_is_slower() {
-        let p = IoCoreParams::default();
-        let mut a = IoCore::new(0, CoreId(0), p);
-        let mut b = IoCore::new(0, CoreId(0), p);
+        let mut a = IoCore::new(0, CoreId(0));
+        let mut b = IoCore::new(0, CoreId(0));
         a.enqueue(DomainId(1), req(0, 1 << 20), false, SimTime::ZERO);
         b.enqueue(DomainId(1), req(0, 1 << 20), true, SimTime::ZERO);
         let la = a.start_next(SimTime::ZERO).unwrap();
@@ -349,7 +328,7 @@ mod tests {
 
     #[test]
     fn drr_shares_follow_quanta() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.set_quantum(DomainId(1), 3 * 64 * 1024);
         core.set_quantum(DomainId(2), 64 * 1024);
         // Backlog 40 requests of 64 KiB each per VM.
@@ -373,7 +352,7 @@ mod tests {
 
     #[test]
     fn big_request_banks_credit_across_rounds() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.set_quantum(DomainId(1), 64 * 1024);
         core.set_quantum(DomainId(2), 64 * 1024);
         // VM1 has one 256 KiB request (needs 4 rounds of credit);
@@ -395,7 +374,7 @@ mod tests {
 
     #[test]
     fn emptied_buffer_forfeits_credit() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.set_quantum(DomainId(1), 1 << 20);
         core.enqueue(DomainId(1), req(0, 4096), false, SimTime::ZERO);
         let done = core.start_next(SimTime::ZERO).unwrap();
@@ -409,7 +388,7 @@ mod tests {
 
     #[test]
     fn latency_ewma_tracks() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.enqueue(DomainId(1), req(0, 4096), false, SimTime::ZERO);
         let done = core.start_next(SimTime::ZERO).unwrap();
         core.finish(done);
@@ -418,7 +397,7 @@ mod tests {
 
     #[test]
     fn remove_domain_returns_backlog() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         for i in 0..3 {
             core.enqueue(DomainId(5), req(i, 4096), false, SimTime::ZERO);
         }
@@ -429,7 +408,7 @@ mod tests {
 
     #[test]
     fn busy_core_refuses_second_start() {
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         core.enqueue(DomainId(1), req(0, 4096), false, SimTime::ZERO);
         core.enqueue(DomainId(1), req(1, 4096), false, SimTime::ZERO);
         assert!(core.start_next(SimTime::ZERO).is_some());

@@ -20,7 +20,7 @@
 mod cpu;
 mod domain;
 mod faults;
-mod iocore;
+pub mod iocore;
 mod machine;
 mod numa;
 mod ring;
@@ -29,10 +29,10 @@ pub mod xenstore_legacy;
 
 pub use cpu::CpuAccounting;
 pub use domain::{DomainId, VmSpec};
-pub use iocore::{IoCore, IoCoreParams};
+pub use iocore::IoCore;
 pub use machine::{
     Cluster, ControlPlane, Domain, IoPathMode, Machine, MachineConfig, OpHandler, OpResult,
-    PlacementCaps, Sched, VirtTiming, Waiter,
+    PlacementCaps, Sched, Waiter,
 };
 pub use numa::{CoreId, NumaTopology, PlacementPolicy};
 pub use ring::{Ring, RingPush};

@@ -26,7 +26,7 @@ use iorch_storage::{IoRequest, StorageSubsystem, StreamId};
 
 use crate::cpu::CpuAccounting;
 use crate::domain::{DomainId, VmSpec};
-use crate::iocore::{IoCore, IoCoreParams};
+use crate::iocore::IoCore;
 use crate::numa::{CoreId, NumaTopology, PlacementPolicy};
 use crate::ring::{Ring, RingPush};
 use crate::xenstore::{Perms, StoreQuota, WatchEvent, XenStore};
@@ -108,64 +108,33 @@ pub enum IoPathMode {
     },
 }
 
-/// Virtualization-overhead timing constants.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtTiming {
-    /// Doorbell → backend wakeup (event channel + context switch).
-    pub notify_latency: SimDuration,
-    /// Paravirt backend fixed cost per request (VM exit, grant ops).
-    pub backend_per_req: SimDuration,
-    /// Paravirt backend copy bandwidth on shared cores, bytes/s.
-    pub backend_copy_bw: u64,
-    /// Completion interrupt delivery to the guest (paravirt).
-    pub irq_latency: SimDuration,
-    /// Completion delivery when a polling core handles it.
-    pub polled_completion_latency: SimDuration,
-    /// XenBus watch-event delivery latency.
-    pub xenbus_latency: SimDuration,
-}
+/// Doorbell → backend wakeup (event channel + context switch).
+const NOTIFY_LATENCY: SimDuration = SimDuration::from_micros(28);
+/// Paravirt backend fixed cost per request (VM exit, grant ops).
+const BACKEND_PER_REQ: SimDuration = SimDuration::from_micros(11);
+/// Paravirt backend copy bandwidth on shared cores, bytes/s.
+const BACKEND_COPY_BW: u64 = 3_200_000_000;
+/// Completion interrupt delivery to the guest (paravirt).
+const IRQ_LATENCY: SimDuration = SimDuration::from_micros(18);
+/// Completion delivery when a polling core handles it.
+const POLLED_COMPLETION_LATENCY: SimDuration = SimDuration::from_micros(4);
+/// XenBus watch-event delivery latency.
+const XENBUS_LATENCY: SimDuration = SimDuration::from_micros(20);
 
-impl Default for VirtTiming {
-    fn default() -> Self {
-        VirtTiming {
-            notify_latency: SimDuration::from_micros(28),
-            backend_per_req: SimDuration::from_micros(11),
-            backend_copy_bw: 3_200_000_000,
-            irq_latency: SimDuration::from_micros(18),
-            polled_completion_latency: SimDuration::from_micros(4),
-            xenbus_latency: SimDuration::from_micros(20),
-        }
-    }
-}
-
-/// Machine-level configuration.
+/// Machine-level configuration. Every machine has the paper's testbed
+/// shape ([`NumaTopology::paper_testbed`]).
 #[derive(Clone, Copy, Debug)]
 pub struct MachineConfig {
     /// RNG seed for this machine's noise sources.
     pub seed: u64,
-    /// NUMA sockets.
-    pub sockets: usize,
-    /// Cores per socket.
-    pub cores_per_socket: usize,
     /// I/O path (baseline paravirt vs dedicated cores).
     pub io_mode: IoPathMode,
-    /// Timing constants.
-    pub timing: VirtTiming,
-    /// I/O core cost model (used in dedicated modes).
-    pub iocore: IoCoreParams,
 }
 
 impl MachineConfig {
-    /// The paper's testbed shape with a given I/O mode.
+    /// The paper's testbed with a given I/O mode.
     pub fn paper_testbed(seed: u64, io_mode: IoPathMode) -> Self {
-        MachineConfig {
-            seed,
-            sockets: 2,
-            cores_per_socket: 6,
-            io_mode,
-            timing: VirtTiming::default(),
-            iocore: IoCoreParams::default(),
-        }
+        MachineConfig { seed, io_mode }
     }
 }
 
@@ -599,8 +568,8 @@ impl Cluster {
         d.ring.drain(usize::MAX, &mut batch);
         let mut total_cpu = SimDuration::ZERO;
         for (req, _pushed) in batch.drain(..) {
-            let cost = m.cfg.timing.backend_per_req
-                + SimDuration::from_secs_f64(req.len as f64 / m.cfg.timing.backend_copy_bw as f64);
+            let cost = BACKEND_PER_REQ
+                + SimDuration::from_secs_f64(req.len as f64 / BACKEND_COPY_BW as f64);
             let mut start = d.backend_busy_until.max(now);
             // Policy rate limit (ring-push enforcement point): a
             // throttled domain's requests start no earlier than the
@@ -662,8 +631,8 @@ impl Cluster {
             m.device_events_idle += 1;
         }
         let delay = match m.cfg.io_mode {
-            IoPathMode::Paravirt => m.cfg.timing.irq_latency,
-            IoPathMode::DedicatedCores { .. } => m.cfg.timing.polled_completion_latency,
+            IoPathMode::Paravirt => IRQ_LATENCY,
+            IoPathMode::DedicatedCores { .. } => POLLED_COMPLETION_LATENCY,
         };
         for req in done.drain(..) {
             // A guest's stream id is its domain id.
@@ -782,14 +751,15 @@ pub struct PlacementCaps {
 
 impl Machine {
     fn new(idx: usize, cfg: MachineConfig) -> Self {
-        let mut topology = NumaTopology::new(cfg.sockets, cfg.cores_per_socket);
-        let mut cpu = CpuAccounting::new(topology.cores(), SimTime::ZERO);
+        let mut topology = NumaTopology::paper_testbed();
+        let cores = topology.cores();
+        let mut cpu = CpuAccounting::new(cores, SimTime::ZERO);
         let mut iocores = Vec::new();
         match cfg.io_mode {
             IoPathMode::Paravirt => {}
             IoPathMode::DedicatedCores { per_socket } => {
                 let sockets: Vec<usize> = if per_socket {
-                    (0..cfg.sockets).collect()
+                    (0..topology.sockets()).collect()
                 } else {
                     vec![0]
                 };
@@ -797,7 +767,7 @@ impl Machine {
                     let core = topology.first_core_of(sk);
                     topology.reserve_io_core(core);
                     cpu.start_spinning(core, SimTime::ZERO);
-                    iocores.push(IoCore::new(sk, core, cfg.iocore));
+                    iocores.push(IoCore::new(sk, core));
                 }
             }
         }
@@ -817,7 +787,7 @@ impl Machine {
             domains: Vec::new(),
             slot_by_id: IdMap::default(),
             live: Vec::new(),
-            core_busy: vec![SimTime::ZERO; cfg.sockets * cfg.cores_per_socket],
+            core_busy: vec![SimTime::ZERO; cores],
             next_domid: 1,
             slot_free: Vec::new(),
             vdisk_cursor: 0,
@@ -1164,11 +1134,10 @@ impl Machine {
             }
             match self.cfg.io_mode {
                 IoPathMode::Paravirt => {
-                    let timing = self.cfg.timing;
                     for (req, _vcpu) in routed.drain(..) {
                         match d.ring.push(req, now) {
                             RingPush::NeedDoorbell => {
-                                s.schedule_in(timing.notify_latency, move |cl: &mut Cluster, s| {
+                                s.schedule_in(NOTIFY_LATENCY, move |cl: &mut Cluster, s| {
                                     Cluster::backend_wake(cl, idx, s, dom);
                                 });
                             }
@@ -1206,7 +1175,7 @@ impl Machine {
         }
         // IOrchestra: per-socket buffers; the co-scheduler may shift load
         // via route weights (indexed by socket).
-        let target_socket = if d.route_weights.len() == self.cfg.sockets {
+        let target_socket = if d.route_weights.len() == self.topology.sockets() {
             let total: f64 = d.route_weights.iter().sum();
             if total > 0.0 {
                 let mut x = self.rng.f64() * total;
@@ -1332,7 +1301,7 @@ impl Machine {
             return;
         }
         let idx = self.idx;
-        let mut delay = self.cfg.timing.xenbus_latency;
+        let mut delay = XENBUS_LATENCY;
         let mut bus = None;
         if let Some(plan) = &self.faults {
             delay += plan.watch_delay(s.now());
@@ -2121,7 +2090,7 @@ mod tests {
         // The readahead waits out the plug timer.
         assert_eq!(
             d.kernel.next_deadline(),
-            s.now() + d.kernel.config().queue.plug_delay
+            s.now() + iorch_guestos::PLUG_DELAY
         );
         let until = sim.now() + SimDuration::from_millis(100);
         sim.run_until(until);

@@ -22,6 +22,11 @@ pub enum PlacementPolicy {
     Spread,
 }
 
+/// NUMA sockets of the paper's testbed host (2-socket Xeon).
+const SOCKETS: usize = 2;
+/// Cores per socket of the paper's testbed host (12 cores in total).
+const CORES_PER_SOCKET: usize = 6;
+
 /// Machine CPU topology plus current VCPU load per core.
 #[derive(Clone, Debug)]
 pub struct NumaTopology {
@@ -47,7 +52,7 @@ impl NumaTopology {
 
     /// The paper's testbed: 2 sockets × 6 cores.
     pub fn paper_testbed() -> Self {
-        Self::new(2, 6)
+        Self::new(SOCKETS, CORES_PER_SOCKET)
     }
 
     /// Total cores.

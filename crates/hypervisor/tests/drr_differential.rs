@@ -6,7 +6,7 @@
 //! `BTreeMap`-per-field core it replaced, kept here as a test-only
 //! reference.
 
-use iorch_hypervisor::{CoreId, DomainId, IoCore, IoCoreParams};
+use iorch_hypervisor::{CoreId, DomainId, IoCore};
 use iorch_simcore::trace::{self, TraceEventKind, TraceSession};
 use iorch_simcore::{gen, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId};
@@ -21,7 +21,10 @@ const DOMS: u32 = 6;
 mod reference {
     use std::collections::{BTreeMap, VecDeque};
 
-    use iorch_hypervisor::{DomainId, IoCoreParams};
+    use iorch_hypervisor::iocore::{
+        COPY_BW_LOCAL, COPY_BW_REMOTE, DEFAULT_QUANTUM, PER_REQ_OVERHEAD,
+    };
+    use iorch_hypervisor::DomainId;
     use iorch_simcore::{SimDuration, SimTime};
     use iorch_storage::IoRequest;
 
@@ -32,7 +35,6 @@ mod reference {
     }
 
     pub struct RefCore {
-        params: IoCoreParams,
         buffers: BTreeMap<DomainId, VecDeque<Buffered>>,
         credits: BTreeMap<DomainId, u64>,
         quanta: BTreeMap<DomainId, u64>,
@@ -44,9 +46,8 @@ mod reference {
     }
 
     impl RefCore {
-        pub fn new(params: IoCoreParams) -> Self {
+        pub fn new() -> Self {
             RefCore {
-                params,
                 buffers: BTreeMap::new(),
                 credits: BTreeMap::new(),
                 quanta: BTreeMap::new(),
@@ -62,10 +63,7 @@ mod reference {
         }
 
         fn quantum(&self, dom: DomainId) -> u64 {
-            self.quanta
-                .get(&dom)
-                .copied()
-                .unwrap_or(self.params.default_quantum)
+            self.quanta.get(&dom).copied().unwrap_or(DEFAULT_QUANTUM)
         }
 
         pub fn backlog_of(&self, dom: DomainId) -> usize {
@@ -120,11 +118,11 @@ mod reference {
                         self.current = None;
                     }
                     let bw = if front.remote {
-                        self.params.copy_bw_remote
+                        COPY_BW_REMOTE
                     } else {
-                        self.params.copy_bw_local
+                        COPY_BW_LOCAL
                     };
-                    let cost = self.params.per_req_overhead
+                    let cost = PER_REQ_OVERHEAD
                         + SimDuration::from_secs_f64(front.req.len as f64 / bw as f64);
                     self.in_process = Some((dom, front.req));
                     return Some(now + cost);
@@ -165,12 +163,8 @@ fn req(id: u64, len: u64) -> IoRequest {
 #[test]
 fn drr_records_match_btreemap_core() {
     gen::for_each_seed(0x10_d44, CASES, |seed, rng| {
-        let params = IoCoreParams {
-            default_quantum: 4096 * (1 + rng.below(64)),
-            ..IoCoreParams::default()
-        };
-        let mut core = IoCore::new(0, CoreId(3), params);
-        let mut oracle = RefCore::new(params);
+        let mut core = IoCore::new(0, CoreId(3));
+        let mut oracle = RefCore::new();
         let session = TraceSession::new();
         let mut now = SimTime::ZERO;
         let mut busy_until: Option<SimTime> = None;

@@ -3,7 +3,7 @@
 //! a fixed seed sweep — no external property-test crate.
 
 use iorch_hypervisor::{
-    CoreId, DomainId, IoCore, IoCoreParams, NumaTopology, Perms, PlacementPolicy, XenStore, DOM0,
+    CoreId, DomainId, IoCore, NumaTopology, Perms, PlacementPolicy, XenStore, DOM0,
 };
 use iorch_simcore::{gen, SimRng, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId};
@@ -95,7 +95,7 @@ fn drr_conserves_requests() {
     gen::for_each_seed(0xA9_0003, CASES, |seed, rng| {
         let sizes = gen::vec_between(rng, 1, 60, |r| 1 + r.below(2_000_000));
         let quanta = gen::vec_of(rng, 3, |r| 4096 + r.below(4_000_000 - 4096));
-        let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+        let mut core = IoCore::new(0, CoreId(0));
         for (d, q) in quanta.iter().enumerate() {
             core.set_quantum(DomainId(d as u32), *q);
         }

@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use iorch_simcore::faults::FaultPlan;
 use iorch_simcore::SimTime;
 
-use crate::{NetParams, Network, NodeId};
+use crate::{Network, NodeId};
 
 /// What happened to a [`MsgBus::send`] attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,9 +81,9 @@ pub struct MsgBus<M> {
 
 impl<M: Clone> MsgBus<M> {
     /// A bus over a fresh network of `n` nodes.
-    pub fn new(n: usize, params: NetParams) -> Self {
+    pub fn new(n: usize) -> Self {
         MsgBus {
-            net: Network::new(n, params),
+            net: Network::new(n),
             faults: FaultPlan::new(),
             pending: BTreeMap::new(),
             seq: 0,
@@ -190,7 +190,7 @@ mod tests {
     }
 
     fn bus(n: usize) -> MsgBus<&'static str> {
-        MsgBus::new(n, NetParams::default())
+        MsgBus::new(n)
     }
 
     #[test]

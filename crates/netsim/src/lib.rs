@@ -26,26 +26,13 @@ use iorch_simcore::{SimDuration, SimTime};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct NodeId(pub usize);
 
-/// Network parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct NetParams {
-    /// Per-NIC bandwidth, bytes/s (GbE ≈ 117 MiB/s effective).
-    pub link_bw: u64,
-    /// One-way propagation + switching delay.
-    pub base_latency: SimDuration,
-    /// Fixed per-message software overhead (TCP/IP stack, virtio-net).
-    pub per_msg_overhead: SimDuration,
-}
-
-impl Default for NetParams {
-    fn default() -> Self {
-        NetParams {
-            link_bw: 117 * 1024 * 1024,
-            base_latency: SimDuration::from_micros(80),
-            per_msg_overhead: SimDuration::from_micros(25),
-        }
-    }
-}
+/// Per-NIC bandwidth, bytes/s: the paper's GbE testbed (≈ 117 MiB/s
+/// effective).
+const LINK_BW: u64 = 117 * 1024 * 1024;
+/// One-way propagation + switching delay.
+const BASE_LATENCY: SimDuration = SimDuration::from_micros(80);
+/// Fixed per-message software overhead (TCP/IP stack, virtio-net).
+const PER_MSG_OVERHEAD: SimDuration = SimDuration::from_micros(25);
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Nic {
@@ -60,15 +47,13 @@ struct Nic {
 /// rack-scale testbed).
 #[derive(Clone, Debug)]
 pub struct Network {
-    params: NetParams,
     nics: Vec<Nic>,
 }
 
 impl Network {
     /// A network of `n` nodes.
-    pub fn new(n: usize, params: NetParams) -> Self {
+    pub fn new(n: usize) -> Self {
         Network {
-            params,
             nics: vec![Nic::default(); n],
         }
     }
@@ -90,22 +75,21 @@ impl Network {
     ///
     /// A self-send (same node) costs only the software overhead.
     pub fn transfer_time(&mut self, src: NodeId, dst: NodeId, len: u64, now: SimTime) -> SimTime {
-        let p = self.params;
         if src == dst {
-            return now + p.per_msg_overhead;
+            return now + PER_MSG_OVERHEAD;
         }
-        let wire = SimDuration::from_secs_f64(len as f64 / p.link_bw as f64);
+        let wire = SimDuration::from_secs_f64(len as f64 / LINK_BW as f64);
         // Serialize on the sender's TX side...
-        let tx_start = self.nics[src.0].tx_busy_until.max(now) + p.per_msg_overhead;
+        let tx_start = self.nics[src.0].tx_busy_until.max(now) + PER_MSG_OVERHEAD;
         let tx_done = tx_start + wire;
         self.nics[src.0].tx_busy_until = tx_done;
         self.nics[src.0].bytes_sent += len;
         self.nics[src.0].msgs_sent += 1;
         // ...then land on the receiver's RX side after propagation.
-        let rx_start = self.nics[dst.0].rx_busy_until.max(tx_done + p.base_latency);
+        let rx_start = self.nics[dst.0].rx_busy_until.max(tx_done + BASE_LATENCY);
         // RX processing of the payload overlaps the wire for long messages;
         // charge only the per-message overhead on the receiver.
-        let delivered = rx_start + p.per_msg_overhead;
+        let delivered = rx_start + PER_MSG_OVERHEAD;
         self.nics[dst.0].rx_busy_until = delivered;
         delivered
     }
@@ -131,14 +115,14 @@ mod tests {
 
     #[test]
     fn self_send_is_cheap() {
-        let mut net = Network::new(2, NetParams::default());
+        let mut net = Network::new(2);
         let t = net.transfer_time(NodeId(0), NodeId(0), 1 << 20, ms(10));
         assert_eq!(t, ms(10) + SimDuration::from_micros(25));
     }
 
     #[test]
     fn small_message_is_latency_bound() {
-        let mut net = Network::new(2, NetParams::default());
+        let mut net = Network::new(2);
         let t = net.transfer_time(NodeId(0), NodeId(1), 1024, SimTime::ZERO);
         // overhead 25us + wire ~8us + latency 80us + rx overhead 25us
         assert!(t > SimTime::from_micros(100));
@@ -147,7 +131,7 @@ mod tests {
 
     #[test]
     fn large_message_is_bandwidth_bound() {
-        let mut net = Network::new(2, NetParams::default());
+        let mut net = Network::new(2);
         let len = 117 * 1024 * 1024; // exactly 1 second of wire time
         let t = net.transfer_time(NodeId(0), NodeId(1), len, SimTime::ZERO);
         let secs = t.saturating_since(SimTime::ZERO).as_secs_f64();
@@ -156,7 +140,7 @@ mod tests {
 
     #[test]
     fn concurrent_sends_serialize_on_tx() {
-        let mut net = Network::new(3, NetParams::default());
+        let mut net = Network::new(3);
         let len = 117 * 1024 * 1024 / 10; // 100ms of wire each
         let t1 = net.transfer_time(NodeId(0), NodeId(1), len, SimTime::ZERO);
         let t2 = net.transfer_time(NodeId(0), NodeId(2), len, SimTime::ZERO);
@@ -167,7 +151,7 @@ mod tests {
 
     #[test]
     fn receiver_serializes_rx() {
-        let mut net = Network::new(3, NetParams::default());
+        let mut net = Network::new(3);
         let len = 117 * 1024 * 1024 / 10;
         let t1 = net.transfer_time(NodeId(0), NodeId(2), len, SimTime::ZERO);
         let t2 = net.transfer_time(NodeId(1), NodeId(2), len, SimTime::ZERO);
@@ -177,7 +161,7 @@ mod tests {
 
     #[test]
     fn counters() {
-        let mut net = Network::new(2, NetParams::default());
+        let mut net = Network::new(2);
         net.transfer_time(NodeId(0), NodeId(1), 500, SimTime::ZERO);
         net.transfer_time(NodeId(0), NodeId(1), 500, SimTime::ZERO);
         assert_eq!(net.bytes_sent(NodeId(0)), 1000);
@@ -187,7 +171,7 @@ mod tests {
 
     #[test]
     fn add_node_grows_network() {
-        let mut net = Network::new(1, NetParams::default());
+        let mut net = Network::new(1);
         let n = net.add_node();
         assert_eq!(n, NodeId(1));
         assert_eq!(net.nodes(), 2);

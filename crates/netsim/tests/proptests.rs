@@ -2,7 +2,7 @@
 //! Driven by the in-tree generators (`iorch_simcore::gen`) with a fixed
 //! seed sweep — no external property-test crate.
 
-use iorch_netsim::{NetParams, Network, NodeId};
+use iorch_netsim::{Network, NodeId};
 use iorch_simcore::{gen, SimTime};
 
 const CASES: usize = 64;
@@ -22,7 +22,7 @@ fn causality_and_fifo() {
         });
         let mut sorted = msgs.clone();
         sorted.sort_by_key(|m| m.0);
-        let mut net = Network::new(4, NetParams::default());
+        let mut net = Network::new(4);
         let mut last_delivery: std::collections::HashMap<(usize, usize), SimTime> =
             std::collections::HashMap::new();
         for &(t, src, dst, len) in &sorted {
@@ -45,7 +45,7 @@ fn causality_and_fifo() {
 fn byte_conservation() {
     gen::for_each_seed(0x4E_0002, CASES, |seed, rng| {
         let lens = gen::vec_between(rng, 1, 50, |r| 1 + r.below(99_999));
-        let mut net = Network::new(2, NetParams::default());
+        let mut net = Network::new(2);
         let mut total = 0u64;
         for (i, &len) in lens.iter().enumerate() {
             net.transfer_time(NodeId(0), NodeId(1), len, SimTime::from_micros(i as u64));
@@ -65,11 +65,11 @@ fn monotone_in_size() {
         let a = 1 + rng.below(10_000_000);
         let b = 1 + rng.below(10_000_000);
         let t1 = {
-            let mut net = Network::new(2, NetParams::default());
+            let mut net = Network::new(2);
             net.transfer_time(NodeId(0), NodeId(1), a.min(b), SimTime::ZERO)
         };
         let t2 = {
-            let mut net = Network::new(2, NetParams::default());
+            let mut net = Network::new(2);
             net.transfer_time(NodeId(0), NodeId(1), a.max(b), SimTime::ZERO)
         };
         assert!(t2 >= t1, "seed {seed}");

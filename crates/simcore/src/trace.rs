@@ -123,7 +123,9 @@ pub enum TraceEventKind {
         /// Domain.
         dom: u32,
     },
-    /// The bypass was revoked (host became congested).
+    /// The bypass was revoked (host became congested). Nothing emits it:
+    /// no model path revokes a bypass. Kept because the `benchmark/`
+    /// package matches on it.
     BypassRevoke {
         /// Domain.
         dom: u32,

@@ -29,7 +29,7 @@ pub use monitor::{DeviceMonitor, IDLE_BANDWIDTH_FRACTION};
 pub use raid::Raid0;
 pub use request::{IoKind, IoRequest, RequestId, RequestIdAlloc, StreamId};
 pub use ssd::{SsdModel, SsdParams};
-pub use subsystem::{StorageSubsystem, SubsystemParams};
+pub use subsystem::StorageSubsystem;
 pub use wfq::{WfqQueue, DEFAULT_WEIGHT};
 
 /// Build the paper's testbed volume: RAID0 over eight Intel 520-class SSDs
@@ -39,11 +39,7 @@ pub fn paper_testbed_storage(seed: u64) -> StorageSubsystem {
         .map(|_| SsdModel::new(SsdParams::intel520()))
         .collect();
     let raid = Raid0::new(members, 64 * 1024);
-    StorageSubsystem::new(
-        Box::new(raid),
-        SubsystemParams::default(),
-        iorch_simcore::SimRng::new(seed),
-    )
+    StorageSubsystem::new(Box::new(raid), iorch_simcore::SimRng::new(seed))
 }
 
 #[cfg(test)]

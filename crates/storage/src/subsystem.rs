@@ -14,24 +14,11 @@ use crate::monitor::DeviceMonitor;
 use crate::request::{IoRequest, StreamId};
 use crate::wfq::WfqQueue;
 
-/// Tunables for the host storage subsystem.
-#[derive(Clone, Copy, Debug)]
-pub struct SubsystemParams {
-    /// Queue depth (per device) above which the host considers itself
-    /// congested — the management module's "overcrowded" test.
-    pub congestion_queue_depth: usize,
-    /// Monitoring window for bandwidth sampling.
-    pub monitor_window: SimDuration,
-}
-
-impl Default for SubsystemParams {
-    fn default() -> Self {
-        SubsystemParams {
-            congestion_queue_depth: 64,
-            monitor_window: SimDuration::from_millis(100),
-        }
-    }
-}
+/// Host queue depth (per device) at or above which the host considers
+/// itself congested: the management module's "overcrowded" test.
+const CONGESTION_QUEUE_DEPTH: usize = 64;
+/// Monitoring window for bandwidth sampling.
+const MONITOR_WINDOW: SimDuration = SimDuration::from_millis(100);
 
 #[derive(Clone, Copy, Debug)]
 struct InFlight {
@@ -62,7 +49,6 @@ pub struct StorageSubsystem {
     /// Reused by `complete_due` to sort one instant's completions.
     done_spare: Vec<(SimTime, IoRequest)>,
     monitor: DeviceMonitor,
-    params: SubsystemParams,
     rng: SimRng,
     submitted: u64,
     faults: Option<FaultPlan>,
@@ -70,14 +56,14 @@ pub struct StorageSubsystem {
 
 impl StorageSubsystem {
     /// Wrap a device model with at most 64 channels.
-    pub fn new(device: Box<dyn DeviceModel>, params: SubsystemParams, rng: SimRng) -> Self {
+    pub fn new(device: Box<dyn DeviceModel>, rng: SimRng) -> Self {
         let channels = device.channels();
         assert!(
             (1..=64).contains(&channels),
             "the channel bitmask holds 1..=64 channels, not {channels}"
         );
         let all = u64::MAX >> (64 - channels);
-        let monitor = DeviceMonitor::new(device.max_bandwidth(), channels, params.monitor_window);
+        let monitor = DeviceMonitor::new(device.max_bandwidth(), channels, MONITOR_WINDOW);
         StorageSubsystem {
             device,
             queue: WfqQueue::new(),
@@ -86,7 +72,6 @@ impl StorageSubsystem {
             all,
             done_spare: Vec::new(),
             monitor,
-            params,
             rng,
             submitted: 0,
             faults: None,
@@ -255,7 +240,7 @@ impl StorageSubsystem {
     /// host queue means real congestion (as opposed to a guest's false
     /// trigger).
     pub fn is_congested(&self) -> bool {
-        self.queue.len() >= self.params.congestion_queue_depth
+        self.queue.len() >= CONGESTION_QUEUE_DEPTH
     }
 
     /// Drop all queued (not yet in-flight) requests of a stream — VM
@@ -302,11 +287,7 @@ mod tests {
         let mut p = SsdParams::intel520();
         p.noise_sigma = 0.0;
         p.channels = channels;
-        StorageSubsystem::new(
-            Box::new(SsdModel::new(p)),
-            SubsystemParams::default(),
-            SimRng::new(1),
-        )
+        StorageSubsystem::new(Box::new(SsdModel::new(p)), SimRng::new(1))
     }
 
     fn complete(sub: &mut StorageSubsystem, now: SimTime) -> Vec<IoRequest> {

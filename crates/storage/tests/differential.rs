@@ -9,7 +9,7 @@
 use iorch_simcore::{gen, SimDuration, SimRng, SimTime};
 use iorch_storage::{
     DeviceModel, IoKind, IoRequest, Raid0, RequestId, SsdModel, SsdParams, StorageSubsystem,
-    StreamId, SubsystemParams, WfqQueue,
+    StreamId, WfqQueue,
 };
 
 use reference::{RefSubsystem, RefWfq};
@@ -356,8 +356,7 @@ fn subsystem_script(
     max_len: u64,
 ) {
     let dev_seed = rng.next_u64();
-    let mut sub =
-        StorageSubsystem::new(device(), SubsystemParams::default(), SimRng::new(dev_seed));
+    let mut sub = StorageSubsystem::new(device(), SimRng::new(dev_seed));
     let mut oracle = RefSubsystem::new(device(), SimRng::new(dev_seed));
     let mut cursor = vec![0u64; STREAMS as usize];
     let mut dead = vec![false; STREAMS as usize];

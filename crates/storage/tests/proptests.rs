@@ -5,8 +5,7 @@
 
 use iorch_simcore::{gen, SimRng, SimTime};
 use iorch_storage::{
-    IoKind, IoRequest, Raid0, RequestId, SsdModel, SsdParams, StorageSubsystem, StreamId,
-    SubsystemParams, WfqQueue,
+    IoKind, IoRequest, Raid0, RequestId, SsdModel, SsdParams, StorageSubsystem, StreamId, WfqQueue,
 };
 
 const CASES: usize = 64;
@@ -110,11 +109,7 @@ fn subsystem_conserves_requests() {
         let sub_seed = rng.next_u64();
         let mut p = SsdParams::intel520();
         p.noise_sigma = 0.1;
-        let mut sub = StorageSubsystem::new(
-            Box::new(SsdModel::new(p)),
-            SubsystemParams::default(),
-            SimRng::new(sub_seed),
-        );
+        let mut sub = StorageSubsystem::new(Box::new(SsdModel::new(p)), SimRng::new(sub_seed));
         for (i, &(stream, len)) in items.iter().enumerate() {
             sub.submit(
                 req(i as u64, stream, i as u64 * (1 << 22), len),

@@ -15,6 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
+use iorchestra_suite::core::planes::TICK;
 use iorchestra_suite::core::policy::EnforcementPoint;
 use iorchestra_suite::core::{Action, IOrchestraConfig, PolicyCtx, PolicyEngine, PolicySet, Rule};
 use iorchestra_suite::hypervisor::{Cluster, DomainId, IoPathMode, MachineConfig, VmSpec};
@@ -32,7 +33,7 @@ struct BurstTamer {
 
 impl Rule for BurstTamer {
     fn on_tick(&mut self, ctx: &PolicyCtx<'_>, out: &mut Vec<Action>) {
-        let ticks_per_sec = 1000 / ctx.cfg().tick.as_millis().max(1);
+        let ticks_per_sec = 1000 / TICK.as_millis().max(1);
         for dom in ctx.machine().domains() {
             let total = ctx.machine().io_bytes(dom);
             let last = self.last_bytes.insert(dom, total).unwrap_or(total);

@@ -2,8 +2,6 @@
 # Build and run the hot-path benchmark gate. Writes BENCH_hotpath.json at
 # the repo root and exits non-zero if the perf gate fails (see
 # crates/bench/src/bin/hotpath.rs for the thresholds).
-#
-#   IORCH_BENCH_QUICK=1 scripts/bench_hotpath.sh   # fast, noisier smoke run
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

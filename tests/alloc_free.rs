@@ -15,7 +15,7 @@ use std::rc::Rc;
 use iorchestra_suite::core::SystemKind;
 use iorchestra_suite::guestos::FileOp;
 use iorchestra_suite::hypervisor::{
-    Cluster, CoreId, DomainId, IoCore, IoCoreParams, OpHandler, OpResult, Sched, VmSpec, Waiter,
+    Cluster, CoreId, DomainId, IoCore, OpHandler, OpResult, Sched, VmSpec, Waiter,
 };
 use iorchestra_suite::simcore::{SimRng, SimTime, Simulation};
 use iorchestra_suite::storage::{
@@ -211,7 +211,7 @@ fn steady_state_host_io_path_does_not_allocate() {
     const CYCLES: u64 = 10_000;
 
     let mut sub = paper_testbed_storage(7);
-    let mut core = IoCore::new(0, CoreId(0), IoCoreParams::default());
+    let mut core = IoCore::new(0, CoreId(0));
     let mut rng = SimRng::new(11);
     let mut now = SimTime::ZERO;
     let mut done = Vec::new();

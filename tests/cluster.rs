@@ -5,8 +5,8 @@
 //! orphaned domain to be re-placed on the survivors with zero duplicated
 //! ownership and the quota math still respected.
 
-use iorchestra_suite::core::cluster::ClusterTier;
-use iorchestra_suite::core::{ClusterConfig, SystemKind};
+use iorchestra_suite::core::cluster::{ClusterTier, VCPU_OVERCOMMIT};
+use iorchestra_suite::core::SystemKind;
 use iorchestra_suite::hypervisor::{Cluster, VmSpec};
 use iorchestra_suite::simcore::{
     FaultKind, FaultPlan, FaultWindow, SimDuration, SimTime, Simulation,
@@ -19,7 +19,7 @@ fn four_nodes_64_domains_fail_over_without_duplicates() {
     let machines: Vec<usize> = (0..4)
         .map(|m| SystemKind::IOrchestra.provision(cl, s, 0xD0 + m as u64))
         .collect();
-    let tier = ClusterTier::install(cl, s, &machines, ClusterConfig::default());
+    let tier = ClusterTier::install(cl, s, &machines);
     {
         let mut t = tier.borrow_mut();
         for i in 0..64u32 {
@@ -89,7 +89,6 @@ fn four_nodes_64_domains_fail_over_without_duplicates() {
     );
 
     // Quota math holds on the survivors: placed vcpus within overcommit.
-    let overcommit = t.config().vcpu_overcommit;
     for a in t.agents() {
         if a.is_down() {
             continue;
@@ -97,8 +96,8 @@ fn four_nodes_64_domains_fail_over_without_duplicates() {
         let m = cl.machine(a.machine());
         let caps = m.placement_caps();
         assert!(
-            caps.placed_vcpus <= caps.total_cores * overcommit,
-            "node {} over quota: {} vcpus on {} cores x{overcommit}",
+            caps.placed_vcpus <= caps.total_cores * VCPU_OVERCOMMIT,
+            "node {} over quota: {} vcpus on {} cores x{VCPU_OVERCOMMIT}",
             a.node(),
             caps.placed_vcpus,
             caps.total_cores

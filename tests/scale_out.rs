@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use iorchestra_suite::core::SystemKind;
 use iorchestra_suite::hypervisor::{Cluster, VmSpec};
-use iorchestra_suite::netsim::{NetParams, Network, NodeId};
+use iorchestra_suite::netsim::{Network, NodeId};
 use iorchestra_suite::simcore::{SimTime, Simulation};
 use iorchestra_suite::workloads::{
     recorder, spawn_blast, spawn_ycsb, BlastParams, VmRef, YcsbParams,
@@ -16,10 +16,7 @@ use iorchestra_suite::workloads::{
 fn blast_runs_across_four_machines() {
     let mut sim = Simulation::new(Cluster::new());
     let machines = 4;
-    let net = Rc::new(RefCell::new(Network::new(
-        machines + 1,
-        NetParams::default(),
-    )));
+    let net = Rc::new(RefCell::new(Network::new(machines + 1)));
     let mut workers = Vec::new();
     let mut ids = Vec::new();
     for m in 0..machines {
@@ -63,7 +60,7 @@ fn multinode_ycsb_pays_for_forwarding() {
     // and replication crosses machines.
     let run = |machines: usize| {
         let mut sim = Simulation::new(Cluster::new());
-        let net = Rc::new(RefCell::new(Network::new(machines, NetParams::default())));
+        let net = Rc::new(RefCell::new(Network::new(machines)));
         let mut nodes = Vec::new();
         let mut ids = Vec::new();
         for m in 0..machines {
