@@ -644,7 +644,6 @@ fn cosched_with_cfg(mk: impl FnOnce(&mut IOrchestraConfig), seed: u64) -> (f64, 
             streams: 6,
             file_size: 2 << 30,
             read_size: 1 << 20,
-            first_vcpu: 0,
             seed,
         },
         Rc::clone(&rec),

@@ -145,7 +145,6 @@ pub fn motivation_run(collaborative: bool, cfg: RunCfg) -> MotivationOut {
             // the device, as with the paper's 8 x 1 GiB files.
             file_size: 2 << 30,
             read_size: 4 << 20,
-            first_vcpu: 0,
             seed: cfg.seed ^ v,
         };
         spawn_multistream(cl, s, vm, p, Rc::clone(&bg));
@@ -251,7 +250,6 @@ pub fn fig4_run(
         let p = OlioParams {
             clients: olio_clients,
             seed: cfg.seed ^ 0x01,
-            ..OlioParams::default()
         };
         spawn_olio(cl, s, web, db, file, p, olio_recs.clone());
         // Memtable flush threshold scaled with the compressed run length
@@ -407,7 +405,6 @@ pub fn flush_run(kind: SystemKind, n_vms: usize, dirty_ratio: f64, cfg: RunCfg) 
             pool: 9_000,
             file_size: 256 << 10,
             op_cpu: SimDuration::from_millis(2),
-            read_recent: None,
             burst: Some((60, SimDuration::from_millis(400))),
             seed: cfg.seed ^ v as u64,
             ..FsParams::default()
@@ -456,7 +453,6 @@ pub fn arrivals_run(kind: SystemKind, lambda_per_min: f64, cfg: RunCfg) -> Arriv
             ycsb_ops: 20_000,
             cloud9_cpu_secs: 4.0,
             seed: cfg.seed,
-            ..ArrivalParams::default()
         };
         spawn_arrivals(cl, s, idx, p, horizon)
     };
@@ -572,7 +568,6 @@ pub fn cosched_run(kind: SystemKind, io_threads: u32, cfg: RunCfg) -> (f64, u64)
                 streams: io_threads,
                 file_size: 2 << 30,
                 read_size: 1 << 20,
-                first_vcpu: 0,
                 seed: cfg.seed ^ 0x10,
             },
             Rc::clone(&rec),

@@ -258,7 +258,6 @@ fn greedy_reader(cl: &mut Cluster, s: &mut Sched, idx: usize, seed: u64, rec: &R
             streams: 8,
             file_size: 1 << 30,
             read_size: 4 << 20,
-            first_vcpu: 0,
             seed,
         },
         Rc::clone(rec),
@@ -294,7 +293,6 @@ fn mixed8(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Cluster>,
             streams: 2,
             file_size: 256 << 20,
             read_size: 1 << 20,
-            first_vcpu: 0,
             seed: seed ^ 7,
         },
         Rc::clone(&rec),
@@ -360,7 +358,6 @@ fn store_hammer(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Clu
             streams: 2,
             file_size: 256 << 20,
             read_size: 1 << 20,
-            first_vcpu: 0,
             seed,
         },
         Rc::clone(&rec),
@@ -392,7 +389,6 @@ fn device_stall(prov: Provision, seed: u64, extra: FaultPlan) -> (Simulation<Clu
             streams: 4,
             file_size: 1 << 30,
             read_size: 1 << 20,
-            first_vcpu: 0,
             seed,
         },
         Rc::clone(&rec),

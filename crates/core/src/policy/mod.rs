@@ -406,11 +406,6 @@ impl PolicySet {
         self.name
     }
 
-    /// Engine tunables.
-    pub fn config(&self) -> &IOrchestraConfig {
-        &self.cfg
-    }
-
     /// Control tick, if any.
     pub fn tick_period(&self) -> Option<SimDuration> {
         self.tick

@@ -37,12 +37,8 @@ pub struct ArrivalParams {
     pub fs_bytes: u64,
     /// YCSB problem size: operations (paper: 50 000).
     pub ycsb_ops: u64,
-    /// YCSB offered rate while the VM lives.
-    pub ycsb_rate: f64,
     /// Cloud9 problem size: CPU seconds per thread.
     pub cloud9_cpu_secs: f64,
-    /// VCPU admission capacity (with overcommit).
-    pub vcpu_capacity: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -53,13 +49,16 @@ impl Default for ArrivalParams {
             lambda_per_min: 8.0,
             fs_bytes: 2 << 30,
             ycsb_ops: 50_000,
-            ycsb_rate: 2_000.0,
             cloud9_cpu_secs: 20.0,
-            vcpu_capacity: 24, // 12 cores, 2x overcommit
             seed: 1,
         }
     }
 }
+
+/// YCSB offered rate (requests/second) while a YCSB VM lives.
+const YCSB_RATE: f64 = 2_000.0;
+/// VCPUs admitted per physical core of the machine.
+const VCPU_OVERCOMMIT: u32 = 2;
 
 /// Live statistics of the arrival experiment.
 #[derive(Debug, Default)]
@@ -96,6 +95,8 @@ struct Running {
 struct Arrivals {
     p: ArrivalParams,
     machine: usize,
+    /// VCPU admission capacity: the machine's cores × [`VCPU_OVERCOMMIT`].
+    vcpu_capacity: u32,
     rng: SimRng,
     fifo: VecDeque<Pending>,
     running: Vec<Running>,
@@ -116,10 +117,13 @@ pub fn spawn_arrivals(
     p: ArrivalParams,
     horizon: SimTime,
 ) -> StatsHandle {
+    let vcpu_capacity = cl.machine(machine).topology.cores() as u32 * VCPU_OVERCOMMIT;
+    assert!(vcpu_capacity >= 10, "must admit the largest VM size");
     let stats: StatsHandle = Rc::new(RefCell::new(ArrivalStats::default()));
     let st = Rc::new(RefCell::new(Arrivals {
         rng: SimRng::new(p.seed),
         machine,
+        vcpu_capacity,
         fifo: VecDeque::new(),
         running: Vec::new(),
         used_vcpus: 0,
@@ -135,7 +139,6 @@ pub fn spawn_arrivals(
         reap(&st2, cl, s);
         s.now() < horizon
     });
-    let _ = cl;
     stats
 }
 
@@ -178,7 +181,7 @@ fn admit(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
         let next = {
             let mut x = state.borrow_mut();
             match x.fifo.front() {
-                Some(p) if x.used_vcpus + p.spec.vcpus <= x.p.vcpu_capacity => {
+                Some(p) if x.used_vcpus + p.spec.vcpus <= x.vcpu_capacity => {
                     let p = x.fifo.pop_front().unwrap();
                     x.stats.borrow_mut().queued = x.fifo.len();
                     Some(p)
@@ -216,7 +219,7 @@ fn start_vm(state: &Shared, cl: &mut Cluster, s: &mut Sched, pending: Pending) {
             spawn_fileserver(cl, s, vm, p, Rc::clone(&rec));
         }
         ArrivalApp::Ycsb1 => {
-            let p = YcsbParams::ycsb1(params.ycsb_rate, seed).with_max_ops(params.ycsb_ops);
+            let p = YcsbParams::ycsb1(YCSB_RATE, seed).with_max_ops(params.ycsb_ops);
             spawn_ycsb(cl, s, &[vm], None, p, Rc::clone(&rec));
         }
         ArrivalApp::Cloud9 => {
@@ -278,8 +281,6 @@ mod tests {
 
     #[test]
     fn params_default() {
-        let p = ArrivalParams::default();
-        assert!(p.vcpu_capacity >= 10, "must admit the largest VM size");
-        assert!(p.lambda_per_min > 0.0);
+        assert!(ArrivalParams::default().lambda_per_min > 0.0);
     }
 }

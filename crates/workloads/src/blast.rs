@@ -19,17 +19,8 @@ use crate::common::{provision_files, Rec, VmRef};
 /// mpiBLAST parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct BlastParams {
-    /// Total database size, split evenly across workers (NT is ~60 GB; we
-    /// scan a window per query).
-    pub db_bytes_per_worker: u64,
     /// Bytes scanned per query per worker.
     pub scan_per_query: u64,
-    /// Read size per I/O.
-    pub read_size: u64,
-    /// CPU per byte scanned (alignment work), as time per MiB.
-    pub cpu_per_mib: SimDuration,
-    /// Result-message size sent to the master after each query.
-    pub result_msg: u64,
     /// Number of queries (`u64::MAX` = run until stopped).
     pub max_queries: u64,
     /// RNG seed.
@@ -39,16 +30,23 @@ pub struct BlastParams {
 impl Default for BlastParams {
     fn default() -> Self {
         BlastParams {
-            db_bytes_per_worker: 4 << 30,
             scan_per_query: 64 << 20,
-            read_size: 2 << 20,
-            cpu_per_mib: SimDuration::from_micros(700),
-            result_msg: 64 << 10,
             max_queries: u64::MAX,
             seed: 1,
         }
     }
 }
+
+/// Database partition per worker (NT is ~60 GB; a query scans a window).
+const DB_BYTES_PER_WORKER: u64 = 4 << 30;
+/// Read size per I/O.
+const READ_SIZE: u64 = 2 << 20;
+/// Alignment CPU per MiB scanned.
+const CPU_PER_MIB: SimDuration = SimDuration::from_micros(700);
+/// Result-message size sent to the master after each query.
+const RESULT_MSG: u64 = 64 << 10;
+// Scan offsets wrap within the partition.
+const _: () = assert!(READ_SIZE < DB_BYTES_PER_WORKER);
 
 struct Blast {
     p: BlastParams,
@@ -79,7 +77,7 @@ pub fn spawn_blast(
     assert!(!workers.is_empty());
     let dbs: Vec<FileId> = workers
         .iter()
-        .map(|&vm| provision_files(cl, vm, 1, p.db_bytes_per_worker)[0])
+        .map(|&vm| provision_files(cl, vm, 1, DB_BYTES_PER_WORKER)[0])
         .collect();
     let (net_rc, net_ids, master) = match net {
         Some((n, ids, master)) => {
@@ -118,39 +116,30 @@ fn start_query(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
 }
 
 fn worker_scan(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize, scanned: u64) {
-    let (vm, op, cpu, done_scan) = {
+    let (vm, op) = {
         let mut x = st.borrow_mut();
         if x.rec.borrow().stopped {
             return;
         }
         if scanned >= x.p.scan_per_query {
-            (x.workers[worker], None, SimDuration::ZERO, true)
+            (x.workers[worker], None)
         } else {
-            let rsz = x.p.read_size;
-            let dbsz = x.p.db_bytes_per_worker;
             let pos = x.positions[worker];
-            let offset = pos % (dbsz - rsz).max(1);
-            x.positions[worker] = pos + rsz;
-            let cpu = x.p.cpu_per_mib.mul_f64(rsz as f64 / (1 << 20) as f64);
-            (
-                x.workers[worker],
-                Some(FileOp::Read {
-                    file: x.dbs[worker],
-                    offset,
-                    len: rsz,
-                }),
-                cpu,
-                false,
-            )
+            let offset = pos % (DB_BYTES_PER_WORKER - READ_SIZE);
+            x.positions[worker] = pos + READ_SIZE;
+            let op = FileOp::Read {
+                file: x.dbs[worker],
+                offset,
+                len: READ_SIZE,
+            };
+            (x.workers[worker], Some(op))
         }
     };
-    if done_scan {
+    let Some(op) = op else {
         report_to_master(st, cl, s, worker);
         return;
-    }
-    let op = op.unwrap();
+    };
     let started = s.now();
-    let st2 = Rc::clone(&st);
     cl.submit_op(
         s,
         vm.machine,
@@ -159,21 +148,14 @@ fn worker_scan(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize, scann
         op,
         Some(Waiter::from_fn(move |cl, s, _| {
             let now = s.now();
-            let rsz = {
-                let x = st2.borrow();
-                let rsz = x.p.read_size;
-                // The figure-7 metric: per-I/O latency at the worker.
-                x.rec
-                    .borrow_mut()
-                    .record(now, now.saturating_since(started), rsz);
-                rsz
-            };
+            // The figure-7 metric: per-I/O latency at the worker.
+            st.borrow()
+                .rec
+                .borrow_mut()
+                .record(now, now.saturating_since(started), READ_SIZE);
             // Alignment CPU on the freshly read block.
-            let st3 = Rc::clone(&st2);
-            let cpu = {
-                let x = st2.borrow();
-                x.p.cpu_per_mib.mul_f64(rsz as f64 / (1 << 20) as f64)
-            };
+            let cpu = CPU_PER_MIB.mul_f64(READ_SIZE as f64 / (1 << 20) as f64);
+            let st2 = Rc::clone(&st);
             cl.run_cpu(
                 s,
                 vm.machine,
@@ -181,21 +163,20 @@ fn worker_scan(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize, scann
                 0,
                 cpu,
                 Waiter::from_fn(move |cl, s, _| {
-                    worker_scan(Rc::clone(&st3), cl, s, worker, scanned + rsz);
+                    worker_scan(Rc::clone(&st2), cl, s, worker, scanned + READ_SIZE);
                 }),
             );
         })),
     );
-    let _ = cpu;
 }
 
 fn report_to_master(st: Shared, cl: &mut Cluster, s: &mut Sched, worker: usize) {
     let delivery: SimTime = {
         let x = st.borrow_mut();
-        let msg = x.p.result_msg;
         match (x.net.clone(), x.net_ids[worker], x.master_net) {
             (Some(net), Some(src), Some(dst)) => {
-                net.borrow_mut().transfer_time(src, dst, msg, s.now())
+                net.borrow_mut()
+                    .transfer_time(src, dst, RESULT_MSG, s.now())
             }
             _ => s.now(),
         }
@@ -229,7 +210,7 @@ mod tests {
     #[test]
     fn defaults() {
         let p = BlastParams::default();
-        assert!(p.scan_per_query >= p.read_size);
-        assert!(p.db_bytes_per_worker > p.scan_per_query);
+        assert!(p.scan_per_query >= READ_SIZE);
+        assert!(DB_BYTES_PER_WORKER > p.scan_per_query);
     }
 }

@@ -20,12 +20,6 @@ pub struct Cloud9Params {
     pub threads: u32,
     /// First VCPU to pin threads onto.
     pub first_vcpu: u32,
-    /// CPU burst per symbolic-execution step.
-    pub burst: SimDuration,
-    /// Probability a step does a small I/O after its burst.
-    pub io_fraction: f64,
-    /// Size of that I/O.
-    pub io_size: u64,
     /// Total CPU seconds per thread before the job finishes
     /// (`f64::INFINITY` = unbounded).
     pub cpu_budget_secs: f64,
@@ -38,14 +32,20 @@ impl Default for Cloud9Params {
         Cloud9Params {
             threads: 2,
             first_vcpu: 0,
-            burst: SimDuration::from_millis(10),
-            io_fraction: 0.05,
-            io_size: 64 << 10,
             cpu_budget_secs: f64::INFINITY,
             seed: 1,
         }
     }
 }
+
+/// CPU burst per symbolic-execution step.
+const BURST: SimDuration = SimDuration::from_millis(10);
+/// Probability a step does a small I/O after its burst.
+const IO_FRACTION: f64 = 0.05;
+/// Size of that I/O.
+const IO_SIZE: u64 = 64 << 10;
+// Cloud9 is CPU-bound.
+const _: () = assert!(IO_FRACTION < 0.2 && BURST.as_nanos() >= 1_000_000);
 
 struct Cloud9 {
     p: Cloud9Params,
@@ -77,7 +77,7 @@ pub fn spawn_cloud9(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: Cloud9Params,
 }
 
 fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
-    let (vm, vcpu, burst, stop) = {
+    let (vm, vcpu, stop) = {
         let mut x = st.borrow_mut();
         let exhausted = x.spent[thread as usize] >= x.p.cpu_budget_secs;
         let stop = x.rec.borrow().stopped || exhausted;
@@ -87,7 +87,7 @@ fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
                 x.rec.borrow_mut().finished = true;
             }
         }
-        (x.vm, x.p.first_vcpu + thread, x.p.burst, stop)
+        (x.vm, x.p.first_vcpu + thread, stop)
     };
     if stop {
         return;
@@ -99,39 +99,34 @@ fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
         vm.machine,
         vm.dom,
         vcpu,
-        burst,
+        BURST,
         Waiter::from_fn(move |cl, s, _| {
-            let (do_io, op) = {
+            let io = {
                 let mut x = st2.borrow_mut();
-                x.spent[thread as usize] += x.p.burst.as_secs_f64();
+                x.spent[thread as usize] += BURST.as_secs_f64();
                 let now = s.now();
                 x.rec
                     .borrow_mut()
                     .record(now, now.saturating_since(started), 0);
-                let frac = x.p.io_fraction;
-                if x.rng.chance(frac) {
-                    let io_size = x.p.io_size;
-                    let off = x.rng.below((1 << 30) - io_size);
-                    (
-                        true,
-                        Some(FileOp::Write {
-                            file: x.scratch,
-                            offset: off,
-                            len: x.p.io_size,
-                        }),
-                    )
+                if x.rng.chance(IO_FRACTION) {
+                    let off = x.rng.below((1 << 30) - IO_SIZE);
+                    Some(FileOp::Write {
+                        file: x.scratch,
+                        offset: off,
+                        len: IO_SIZE,
+                    })
                 } else {
-                    (false, None)
+                    None
                 }
             };
-            if do_io {
+            if let Some(op) = io {
                 let st3 = Rc::clone(&st2);
                 cl.submit_op(
                     s,
                     vm.machine,
                     vm.dom,
                     vcpu,
-                    op.unwrap(),
+                    op,
                     Some(Waiter::from_fn(move |cl, s, _| {
                         step(Rc::clone(&st3), cl, s, thread);
                     })),
@@ -141,16 +136,4 @@ fn step(st: Shared, cl: &mut Cluster, s: &mut Sched, thread: u32) {
             }
         }),
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_cpu_heavy() {
-        let p = Cloud9Params::default();
-        assert!(p.io_fraction < 0.2, "Cloud9 must be CPU-bound");
-        assert!(p.burst >= SimDuration::from_millis(1));
-    }
 }

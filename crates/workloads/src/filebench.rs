@@ -22,17 +22,11 @@ pub struct FsParams {
     /// Live file pool size. With `file_size` this sets the working set —
     /// Fig. 8 keeps it above twice the VM memory.
     pub pool: usize,
-    /// Append size per op.
-    pub append_size: u64,
     /// CPU per file operation.
     pub op_cpu: SimDuration,
     /// Stop once this many payload bytes moved (Table 2's "2 GB data
     /// transmission"); `u64::MAX` = unbounded.
     pub max_bytes: u64,
-    /// If set, reads target one of the `k` most recently written files
-    /// (temporal locality: recent uploads are the hot downloads) instead
-    /// of a uniform pick over the pool.
-    pub read_recent: Option<u32>,
     /// If set, each thread works in waves: `0` cycles of activity followed
     /// by an exponentially distributed idle period with mean `1` — the
     /// request-wave pattern of a real file server. `None` = closed loop.
@@ -47,21 +41,21 @@ impl Default for FsParams {
             threads: 4,
             file_size: 128 << 10,
             pool: 400,
-            append_size: 16 << 10,
             op_cpu: SimDuration::from_micros(60),
             max_bytes: u64::MAX,
-            read_recent: None,
             burst: None,
             seed: 1,
         }
     }
 }
 
+/// FS append size per cycle.
+const APPEND_SIZE: u64 = 16 << 10;
+
 struct FsState {
     p: FsParams,
     vm: VmRef,
     files: Vec<FileId>,
-    recent: std::collections::VecDeque<usize>,
     rng: SimRng,
     rec: Rec,
     threads: Vec<FsThread>,
@@ -94,7 +88,6 @@ pub fn spawn_fileserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: FsParams,
     };
     let st = Rc::new(Fs(RefCell::new(FsState {
         rng: SimRng::new(p.seed),
-        recent: std::collections::VecDeque::new(),
         threads: vec![idle; p.threads as usize],
         p,
         vm,
@@ -143,23 +136,9 @@ impl OpHandler for Fs {
                 let started = s.now();
                 let n = x.files.len() as u64;
                 let fsz = x.p.file_size;
-                let asz = x.p.append_size;
                 let iw = x.rng.below(n) as usize;
-                let ir = match x.p.read_recent {
-                    Some(k) if !x.recent.is_empty() => {
-                        let span = x.recent.len().min(k as usize) as u64;
-                        let back = x.rng.below(span) as usize;
-                        x.recent[x.recent.len() - 1 - back]
-                    }
-                    _ => x.rng.below(n) as usize,
-                };
+                let ir = x.rng.below(n) as usize;
                 let ia = x.rng.below(n) as usize;
-                if let Some(k) = x.p.read_recent {
-                    x.recent.push_back(iw);
-                    if x.recent.len() > 4 * k as usize {
-                        x.recent.pop_front();
-                    }
-                }
                 let (fw, fr, fa) = (x.files[iw], x.files[ir], x.files[ia]);
                 let t = &mut x.threads[thread];
                 t.ops = [
@@ -175,13 +154,13 @@ impl OpHandler for Fs {
                     },
                     FileOp::Write {
                         file: fa,
-                        offset: fsz - asz,
-                        len: asz,
+                        offset: fsz - APPEND_SIZE,
+                        len: APPEND_SIZE,
                     },
                 ];
                 t.next = 0;
                 t.started = started;
-                t.bytes = fsz * 2 + asz;
+                t.bytes = fsz * 2 + APPEND_SIZE;
             }
             // Chain: write -> read -> append -> record -> next cycle.
             let vm = x.vm;
@@ -214,12 +193,6 @@ pub struct WsParams {
     pub threads: u32,
     /// Page files in the docroot.
     pub pages: usize,
-    /// Page size.
-    pub page_size: u64,
-    /// Pages read per request.
-    pub reads_per_req: usize,
-    /// Log append size per request.
-    pub log_append: u64,
     /// CPU per request.
     pub op_cpu: SimDuration,
     /// RNG seed.
@@ -231,14 +204,20 @@ impl Default for WsParams {
         WsParams {
             threads: 4,
             pages: 5_000,
-            page_size: 16 << 10,
-            reads_per_req: 10,
-            log_append: 8 << 10,
             op_cpu: SimDuration::from_micros(120),
             seed: 1,
         }
     }
 }
+
+/// WS page size.
+const PAGE_SIZE: u64 = 16 << 10;
+/// WS pages read per request.
+const READS_PER_REQ: usize = 10;
+/// WS log append size per request.
+const LOG_APPEND: u64 = 8 << 10;
+// A request ends with the log append that follows its last page read.
+const _: () = assert!(READS_PER_REQ >= 1);
 
 struct WsState {
     p: WsParams,
@@ -265,7 +244,7 @@ struct Ws(RefCell<WsState>);
 
 /// Launch the WS workload on a VM.
 pub fn spawn_webserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: WsParams, rec: Rec) {
-    let pages = provision_files(cl, vm, p.pages, p.page_size);
+    let pages = provision_files(cl, vm, p.pages, PAGE_SIZE);
     let log = provision_files(cl, vm, 1, 1 << 30)[0];
     let idle = WsThread {
         reads_done: 0,
@@ -311,22 +290,21 @@ fn ws_cycle(st: Rc<Ws>, cl: &mut Cluster, s: &mut Sched, thread: u32) {
         if x.rec.borrow().stopped {
             return;
         }
-        let op = if x.threads[thread as usize].reads_done < x.p.reads_per_req {
+        let op = if x.threads[thread as usize].reads_done < READS_PER_REQ {
             let n = x.pages.len() as u64;
             let i = x.rng.below(n) as usize;
             FileOp::Read {
                 file: x.pages[i],
                 offset: 0,
-                len: x.p.page_size,
+                len: PAGE_SIZE,
             }
         } else {
             let off = x.log_off;
-            let append = x.p.log_append;
-            x.log_off = (x.log_off + append) % ((1 << 30) - append);
+            x.log_off = (x.log_off + LOG_APPEND) % ((1 << 30) - LOG_APPEND);
             FileOp::Write {
                 file: x.log,
                 offset: off,
-                len: append,
+                len: LOG_APPEND,
             }
         };
         (x.vm, op)
@@ -340,9 +318,8 @@ impl OpHandler for Ws {
         let thread = token as u32;
         if r.is_some() {
             let mut x = self.0.borrow_mut();
-            let reads_per_req = x.p.reads_per_req;
             let t = &mut x.threads[thread as usize];
-            if t.reads_done < reads_per_req {
+            if t.reads_done < READS_PER_REQ {
                 t.reads_done += 1;
             } else {
                 // The log append finished the request. Its latency covers
@@ -350,7 +327,7 @@ impl OpHandler for Ws {
                 // payload.
                 let started = t.started;
                 let now = s.now();
-                let total = reads_per_req as u64 * x.p.page_size + x.p.log_append;
+                let total = READS_PER_REQ as u64 * PAGE_SIZE + LOG_APPEND;
                 x.rec
                     .borrow_mut()
                     .record(now, now.saturating_since(started), total);
@@ -372,10 +349,6 @@ pub struct VsParams {
     pub video_size: u64,
     /// Library size in files.
     pub library: usize,
-    /// Streaming read chunk.
-    pub chunk: u64,
-    /// Ingest write chunk.
-    pub ingest_chunk: u64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -386,12 +359,15 @@ impl Default for VsParams {
             readers: 4,
             video_size: 64 << 20,
             library: 20,
-            chunk: 1 << 20,
-            ingest_chunk: 1 << 20,
             seed: 1,
         }
     }
 }
+
+/// VS streaming read chunk.
+const CHUNK: u64 = 1 << 20;
+/// VS ingest write chunk.
+const INGEST_CHUNK: u64 = 1 << 20;
 
 struct VsState {
     p: VsParams,
@@ -427,22 +403,21 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
     let (vm, op, stop) = {
         let mut x = st.borrow_mut();
         let stop = x.rec.borrow().stopped;
-        let chunk = x.p.chunk;
         let vsz = x.p.video_size;
         let pos = x.positions[reader as usize];
         let lib = x.library.len() as u64;
         // Each reader streams one video; at the end it picks another.
         let file_idx = (reader as u64 + (pos / vsz)) % lib;
         let file = x.library[file_idx as usize];
-        let offset = pos % (vsz - chunk).max(1);
-        x.positions[reader as usize] = pos + chunk;
+        let offset = pos % (vsz - CHUNK).max(1);
+        x.positions[reader as usize] = pos + CHUNK;
         let _ = &mut x.rng;
         (
             x.vm,
             FileOp::Read {
                 file,
                 offset,
-                len: chunk,
+                len: CHUNK,
             },
             stop,
         )
@@ -459,13 +434,9 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
         reader,
         op,
         Some(Waiter::from_fn(move |cl, s, _| {
-            let chunk = {
-                let x = st2.borrow();
-                x.p.chunk
-            };
             // Stream-processing CPU (demux + copy), and a guard against
             // zero-time loops when the video is fully cached.
-            let cpu = SimDuration::from_secs_f64(chunk as f64 / 6e9);
+            let cpu = SimDuration::from_secs_f64(CHUNK as f64 / 6e9);
             let st3 = Rc::clone(&st2);
             cl.run_cpu(
                 s,
@@ -479,7 +450,7 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
                         let x = st3.borrow();
                         x.rec
                             .borrow_mut()
-                            .record(now, now.saturating_since(started), chunk);
+                            .record(now, now.saturating_since(started), CHUNK);
                     }
                     vs_read(Rc::clone(&st3), cl, s, reader);
                 }),
@@ -492,21 +463,20 @@ fn vs_ingest(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched) {
     let (vm, op, stop) = {
         let mut x = st.borrow_mut();
         let stop = x.rec.borrow().stopped;
-        let chunk = x.p.ingest_chunk;
         let vsz = x.p.video_size;
-        if x.ingest_pos + chunk > vsz {
+        if x.ingest_pos + INGEST_CHUNK > vsz {
             x.ingest_pos = 0;
             x.ingest_file = (x.ingest_file + 1) % x.library.len();
         }
         let file = x.library[x.ingest_file];
         let off = x.ingest_pos;
-        x.ingest_pos += chunk;
+        x.ingest_pos += INGEST_CHUNK;
         (
             x.vm,
             FileOp::Write {
                 file,
                 offset: off,
-                len: chunk,
+                len: INGEST_CHUNK,
             },
             stop,
         )
@@ -523,10 +493,7 @@ fn vs_ingest(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched) {
         op,
         Some(Waiter::from_fn(move |cl, s, _| {
             // Transcode/ingest CPU between chunks.
-            let cpu = {
-                let x = st2.borrow();
-                SimDuration::from_secs_f64(x.p.ingest_chunk as f64 / 2e9)
-            };
+            let cpu = SimDuration::from_secs_f64(INGEST_CHUNK as f64 / 2e9);
             let st3 = Rc::clone(&st2);
             cl.run_cpu(
                 s,
@@ -551,8 +518,6 @@ pub struct MultiStreamParams {
     pub file_size: u64,
     /// Read size per op.
     pub read_size: u64,
-    /// First VCPU to pin streams onto (streams take consecutive VCPUs).
-    pub first_vcpu: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -563,7 +528,6 @@ impl Default for MultiStreamParams {
             streams: 4,
             file_size: 1 << 30,
             read_size: 1 << 20,
-            first_vcpu: 0,
             seed: 1,
         }
     }
@@ -577,7 +541,8 @@ struct MsState {
     rec: Rec,
 }
 
-/// Launch multi-stream sequential reads on a VM (one file per stream).
+/// Launch multi-stream sequential reads on a VM (one file per stream;
+/// stream `i` runs on VCPU `i`).
 pub fn spawn_multistream(
     cl: &mut Cluster,
     s: &mut Sched,
@@ -602,7 +567,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
     // Copying the payload to userspace costs CPU (~8 GB/s memcpy); this
     // also keeps a fully-cached stream from looping in zero simulated time.
     const COPY_BW: f64 = 8e9;
-    let (vm, vcpu, op, stop) = {
+    let (vm, op, stop) = {
         let mut x = st.borrow_mut();
         let stop = x.rec.borrow().stopped;
         let rsz = x.p.read_size;
@@ -613,7 +578,6 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
         let file = x.files[stream as usize];
         (
             x.vm,
-            x.p.first_vcpu + stream,
             FileOp::Read {
                 file,
                 offset,
@@ -631,7 +595,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
         s,
         vm.machine,
         vm.dom,
-        vcpu,
+        stream,
         op,
         Some(Waiter::from_fn(move |cl, s, _| {
             let rsz = {
@@ -644,7 +608,7 @@ fn ms_read(st: Rc<RefCell<MsState>>, cl: &mut Cluster, s: &mut Sched, stream: u3
                 s,
                 vm.machine,
                 vm.dom,
-                vcpu,
+                stream,
                 copy,
                 Waiter::from_fn(move |cl, s, _| {
                     let now = s.now();
@@ -669,10 +633,8 @@ mod tests {
     fn param_defaults_sane() {
         let fs = FsParams::default();
         assert!(fs.pool as u64 * fs.file_size > 32 << 20);
-        let ws = WsParams::default();
-        assert!(ws.reads_per_req >= 1);
         let vs = VsParams::default();
-        assert!(vs.video_size > vs.chunk);
+        assert!(vs.video_size > CHUNK);
         let ms = MultiStreamParams::default();
         assert!(ms.file_size > ms.read_size);
     }

@@ -35,4 +35,4 @@ pub use filebench::{
     MultiStreamParams, VsParams, WsParams,
 };
 pub use olio::{spawn_olio, OlioParams, OlioRecorders};
-pub use ycsb::{spawn_ycsb, BurstParams, YcsbParams};
+pub use ycsb::{spawn_ycsb, YcsbParams};

@@ -16,29 +16,11 @@ use iorch_simcore::{SimDuration, SimRng, SimTime, Zipfian};
 
 use crate::common::{provision_files, recorder, Rec, VmRef};
 
-/// Olio deployment and load parameters.
+/// Olio load parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct OlioParams {
     /// Emulated concurrent clients (the paper sweeps 50–300).
     pub clients: u32,
-    /// Mean think time between a response and the next request.
-    pub think_time: SimDuration,
-    /// Database size in bytes (paper: ~40 GB for 500 users).
-    pub db_size: u64,
-    /// Static files on the file-server VM.
-    pub static_files: usize,
-    /// Static file size.
-    pub static_size: u64,
-    /// Database queries per request.
-    pub queries_per_req: u32,
-    /// Fraction of requests that write (add an event).
-    pub write_fraction: f64,
-    /// PHP CPU per request (frontend).
-    pub web_cpu: SimDuration,
-    /// CPU per DB query.
-    pub db_cpu: SimDuration,
-    /// Render CPU after data arrives.
-    pub render_cpu: SimDuration,
     /// RNG seed.
     pub seed: u64,
 }
@@ -47,19 +29,31 @@ impl Default for OlioParams {
     fn default() -> Self {
         OlioParams {
             clients: 100,
-            think_time: SimDuration::from_millis(400),
-            db_size: 40 << 30,
-            static_files: 2_000,
-            static_size: 128 << 10,
-            queries_per_req: 2,
-            write_fraction: 0.1,
-            web_cpu: SimDuration::from_micros(1500),
-            db_cpu: SimDuration::from_micros(200),
-            render_cpu: SimDuration::from_micros(1000),
             seed: 1,
         }
     }
 }
+
+/// Mean think time between a response and the next request.
+const THINK_TIME: SimDuration = SimDuration::from_millis(400);
+/// Database size in bytes (paper: ~40 GB for 500 users).
+const DB_SIZE: u64 = 40 << 30;
+/// Static files on the file-server VM.
+const STATIC_FILES: usize = 2_000;
+/// Static file size.
+const STATIC_SIZE: u64 = 128 << 10;
+/// Database queries per request.
+const QUERIES_PER_REQ: u32 = 2;
+/// Fraction of requests that write (add an event).
+const WRITE_FRACTION: f64 = 0.1;
+/// PHP CPU per request (frontend).
+const WEB_CPU: SimDuration = SimDuration::from_micros(1500);
+/// CPU per DB query.
+const DB_CPU: SimDuration = SimDuration::from_micros(200);
+/// Render CPU after data arrives.
+const RENDER_CPU: SimDuration = SimDuration::from_micros(1000);
+// Olio is read-mostly, and every request queries the database.
+const _: () = assert!(WRITE_FRACTION < 0.5 && QUERIES_PER_REQ >= 1);
 
 /// Per-tier recorders (Fig. 6) plus the end-to-end one (Fig. 4a/4d).
 #[derive(Clone)]
@@ -87,7 +81,6 @@ impl OlioRecorders {
 }
 
 struct OlioState {
-    p: OlioParams,
     web: VmRef,
     db: VmRef,
     file: VmRef,
@@ -146,9 +139,9 @@ pub fn spawn_olio(
     recs: OlioRecorders,
 ) {
     let web_pages = provision_files(cl, web, 200, 8 << 10);
-    let db_data = provision_files(cl, db, 1, p.db_size)[0];
+    let db_data = provision_files(cl, db, 1, DB_SIZE)[0];
     let db_log = provision_files(cl, db, 1, 1 << 30)[0];
-    let statics = provision_files(cl, file, p.static_files, p.static_size);
+    let statics = provision_files(cl, file, STATIC_FILES, STATIC_SIZE);
     let idle = Client {
         stage: Stage::Render,
         op: FileOp::Sync,
@@ -158,11 +151,10 @@ pub fn spawn_olio(
         more: false,
     };
     let st = Rc::new(Olio(RefCell::new(OlioState {
-        zipf_db: Zipfian::new((p.db_size / (16 << 10)).max(2), 0.9),
-        zipf_static: Zipfian::new(p.static_files as u64, 0.8),
+        zipf_db: Zipfian::new((DB_SIZE / (16 << 10)).max(2), 0.9),
+        zipf_static: Zipfian::new(STATIC_FILES as u64, 0.8),
         rng: SimRng::new(p.seed),
         clients: vec![idle; p.clients as usize],
-        p,
         web,
         db,
         file,
@@ -182,8 +174,7 @@ fn client_think(st: Shared, s: &mut Sched, client: u32) {
     let (gap, stop) = {
         let mut x = st.0.borrow_mut();
         let stop = x.recs.total.borrow().stopped;
-        let think = x.p.think_time;
-        (x.rng.exp_duration(think), stop)
+        (x.rng.exp_duration(THINK_TIME), stop)
     };
     if stop {
         return;
@@ -227,20 +218,20 @@ fn web_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32, arrival: 
         c.stage = Stage::WebCpu;
         c.op = op;
         c.arrival = arrival;
-        (x.web, x.p.web_cpu)
+        (x.web, WEB_CPU)
     };
     client_cpu(st, cl, s, client, web, cpu);
 }
 
-/// Stage 2 — database tier: `queries_per_req` random-index reads and an
+/// Stage 2 — database tier: `QUERIES_PER_REQ` random-index reads and an
 /// occasional event insert (log append).
 fn db_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32, done: u32) {
     let (db, cpu) = {
         let mut x = st.0.borrow_mut();
-        let (op, more) = if done < x.p.queries_per_req {
+        let (op, more) = if done < QUERIES_PER_REQ {
             let zipf = x.zipf_db.clone();
             let row = zipf.sample(&mut x.rng);
-            let offset = (row * (16 << 10)) % (x.p.db_size - (16 << 10));
+            let offset = (row * (16 << 10)) % (DB_SIZE - (16 << 10));
             let op = FileOp::Read {
                 file: x.db_data,
                 offset,
@@ -248,8 +239,7 @@ fn db_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32, done: u32)
             };
             (op, true)
         } else {
-            let wf = x.p.write_fraction;
-            if x.rng.chance(wf) {
+            if x.rng.chance(WRITE_FRACTION) {
                 let off = x.db_log_off;
                 x.db_log_off = (x.db_log_off + (8 << 10)) % ((1 << 30) - (8 << 10));
                 let op = FileOp::Write {
@@ -276,7 +266,7 @@ fn db_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32, done: u32)
         c.op = op;
         c.done = done;
         c.more = more;
-        (x.db, x.p.db_cpu)
+        (x.db, DB_CPU)
     };
     client_cpu(st, cl, s, client, db, cpu);
 }
@@ -290,7 +280,7 @@ fn file_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32, fs_start
         let op = FileOp::Read {
             file: x.statics[idx.min(x.statics.len() - 1)],
             offset: 0,
-            len: x.p.static_size,
+            len: STATIC_SIZE,
         };
         let c = &mut x.clients[client as usize];
         c.stage = Stage::FileRead;
@@ -305,7 +295,7 @@ fn render_stage(st: Shared, cl: &mut Cluster, s: &mut Sched, client: u32) {
     let (web, cpu) = {
         let mut x = st.0.borrow_mut();
         x.clients[client as usize].stage = Stage::Render;
-        (x.web, x.p.render_cpu)
+        (x.web, RENDER_CPU)
     };
     client_cpu(st, cl, s, client, web, cpu);
 }
@@ -351,11 +341,11 @@ impl OpHandler for Olio {
                 file_stage(self, cl, s, client, now);
             }
             Stage::FileRead => {
-                let size = x.p.static_size;
-                x.recs
-                    .file
-                    .borrow_mut()
-                    .record(now, now.saturating_since(c.tier_start), size);
+                x.recs.file.borrow_mut().record(
+                    now,
+                    now.saturating_since(c.tier_start),
+                    STATIC_SIZE,
+                );
                 drop(x);
                 render_stage(self, cl, s, client);
             }
@@ -368,18 +358,5 @@ impl OpHandler for Olio {
                 client_think(self, s, client);
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_paper_shaped() {
-        let p = OlioParams::default();
-        assert_eq!(p.db_size, 40 << 30);
-        assert!(p.write_fraction < 0.5, "Olio is read-mostly");
-        assert!(p.queries_per_req >= 1);
     }
 }

@@ -27,43 +27,39 @@ use iorch_simcore::{SimDuration, SimRng, SimTime, Zipfian};
 
 use crate::common::{Rec, VmRef};
 
-/// Bursty-arrival shaping (paper §5.6): synchronized burst windows where
-/// the rate is capped at `peak_factor`× the overall average.
-#[derive(Clone, Copy, Debug)]
-pub struct BurstParams {
-    /// Cycle period.
-    pub period: SimDuration,
-    /// Burst window at the start of each cycle (50 or 100 ms).
-    pub burst_len: SimDuration,
-    /// Peak rate multiplier (paper: 10×).
-    pub peak_factor: f64,
-}
+/// Record size in bytes.
+const RECORD_SIZE: u64 = 1024;
+/// Records in the data set: ~4 GB per node, more than the 4 GB VM cache.
+const RECORDS: u64 = 4_000_000;
+/// Commit-log file size per node.
+const COMMITLOG_SIZE: u64 = 1 << 30;
+/// Zipfian skew (the YCSB default).
+const ZIPF_THETA: f64 = 0.99;
+/// Per-op CPU cost (parse, serialize, memtable update).
+const OP_CPU: SimDuration = SimDuration::from_micros(40);
+/// Inter-VM RPC delay for co-located nodes (virtio-net loopback);
+/// replication acks ride on this when no network model is attached.
+const IPC_DELAY: SimDuration = SimDuration::from_micros(120);
+/// Cycle period of the §5.6 burst shaping.
+pub const BURST_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// Rate inside a burst window, as a multiple of the mean (paper: 10×).
+pub const BURST_PEAK_FACTOR: f64 = 10.0;
 
 /// YCSB workload parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct YcsbParams {
     /// Fraction of reads (0.5 for YCSB1, 0.95 for YCSB2).
     pub read_ratio: f64,
-    /// Record size in bytes.
-    pub record_size: u64,
-    /// Number of records in the data set.
-    pub records: u64,
-    /// Zipfian skew (YCSB default 0.99).
-    pub zipf_theta: f64,
     /// Target aggregate request rate (requests/second).
     pub rate_per_sec: f64,
     /// Memtable flush threshold in bytes.
     pub memtable_flush_bytes: u64,
-    /// Per-op CPU cost (parse, serialize, memtable update).
-    pub op_cpu: SimDuration,
     /// Stop after this many operations (bounded runs); `u64::MAX` = run
     /// until the recorder is stopped.
     pub max_ops: u64,
-    /// Inter-VM RPC delay for co-located nodes (virtio-net loopback);
-    /// replication acks ride on this when no network model is attached.
-    pub ipc_delay: SimDuration,
-    /// Burst shaping, if any.
-    pub burst: Option<BurstParams>,
+    /// §5.6 burst shaping: the burst window at the start of each
+    /// [`BURST_PERIOD`] (50 or 100 ms), if any.
+    pub burst: Option<SimDuration>,
     /// RNG seed.
     pub seed: u64,
 }
@@ -73,14 +69,9 @@ impl YcsbParams {
     pub fn ycsb1(rate_per_sec: f64, seed: u64) -> Self {
         YcsbParams {
             read_ratio: 0.5,
-            record_size: 1024,
-            records: 4_000_000, // ~4 GB per node: exceeds the 4 GB VM cache
-            zipf_theta: 0.99,
             rate_per_sec,
             memtable_flush_bytes: 32 << 20,
-            op_cpu: SimDuration::from_micros(40),
             max_ops: u64::MAX,
-            ipc_delay: SimDuration::from_micros(120),
             burst: None,
             seed,
         }
@@ -96,11 +87,7 @@ impl YcsbParams {
 
     /// Add the §5.6 burst shaping.
     pub fn with_burst(mut self, burst_len: SimDuration) -> Self {
-        self.burst = Some(BurstParams {
-            period: SimDuration::from_secs(1),
-            burst_len,
-            peak_factor: 10.0,
-        });
+        self.burst = Some(burst_len);
         self
     }
 
@@ -116,11 +103,19 @@ struct Node {
     data: FileId,
     commitlog: FileId,
     commit_off: u64,
-    commitlog_size: u64,
     sstable_off: u64,
     data_size: u64,
     bytes_since_flush: u64,
     net: Option<NodeId>,
+}
+
+impl Node {
+    /// Reserve the next commit-log record; returns its offset.
+    fn next_commit_off(&mut self) -> u64 {
+        let off = self.commit_off;
+        self.commit_off = (off + RECORD_SIZE) % (COMMITLOG_SIZE - RECORD_SIZE);
+        off
+    }
 }
 
 struct YcsbState {
@@ -194,7 +189,7 @@ pub fn spawn_ycsb(
         }
         None => (None, vec![None; node_vms.len()]),
     };
-    let per_node_records = p.records / node_vms.len() as u64;
+    let per_node_records = RECORDS / node_vms.len() as u64;
     let nodes: Vec<Node> = node_vms
         .iter()
         .zip(net_ids)
@@ -203,16 +198,14 @@ pub fn spawn_ycsb(
                 .machine_mut(vm.machine)
                 .kernel_mut(vm.dom)
                 .expect("dead VM");
-            let data_size = per_node_records * p.record_size;
+            let data_size = per_node_records * RECORD_SIZE;
             let data = kernel.create_file(data_size.max(1 << 20)).unwrap();
-            let commitlog_size = 1 << 30;
-            let commitlog = kernel.create_file(commitlog_size).unwrap();
+            let commitlog = kernel.create_file(COMMITLOG_SIZE).unwrap();
             Node {
                 vm,
                 data,
                 commitlog,
                 commit_off: 0,
-                commitlog_size,
                 sstable_off: 0,
                 data_size,
                 bytes_since_flush: 0,
@@ -222,7 +215,7 @@ pub fn spawn_ycsb(
         .collect();
     let state = Rc::new(Ycsb(RefCell::new(YcsbState {
         rng: SimRng::new(p.seed),
-        zipf: Zipfian::new(p.records.max(2), p.zipf_theta),
+        zipf: Zipfian::new(RECORDS, ZIPF_THETA),
         nodes,
         rec,
         net: net_rc,
@@ -240,17 +233,17 @@ pub fn spawn_ycsb(
 fn current_rate(p: &YcsbParams, now: SimTime) -> f64 {
     match p.burst {
         None => p.rate_per_sec,
-        Some(b) => {
-            let phase = SimDuration::from_nanos(now.as_nanos() % b.period.as_nanos().max(1));
-            let peak = p.rate_per_sec * b.peak_factor;
+        Some(burst_len) => {
+            let phase = SimDuration::from_nanos(now.as_nanos() % BURST_PERIOD.as_nanos());
+            let peak = p.rate_per_sec * BURST_PEAK_FACTOR;
             // Requests-per-cycle is conserved: the burst carries what the
             // peak cap allows, the remainder spreads over the off window.
-            let in_burst = peak * b.burst_len.as_secs_f64();
-            let per_cycle = p.rate_per_sec * b.period.as_secs_f64();
-            if phase < b.burst_len {
+            let in_burst = peak * burst_len.as_secs_f64();
+            let per_cycle = p.rate_per_sec * BURST_PERIOD.as_secs_f64();
+            if phase < burst_len {
                 peak
             } else {
-                let off_window = (b.period - b.burst_len).as_secs_f64();
+                let off_window = (BURST_PERIOD - burst_len).as_secs_f64();
                 ((per_cycle - in_burst).max(0.0) / off_window).max(0.01)
             }
         }
@@ -269,8 +262,8 @@ fn schedule_next_arrival(state: &Shared, s: &mut Sched) {
         // burst (with an all-in-burst shape the off rate is ~0 and the
         // naive sample would jump past every future cycle): clamp to the
         // next cycle boundary, where the rate is resampled.
-        if let Some(b) = y.p.burst {
-            let period_ns = b.period.as_nanos().max(1);
+        if y.p.burst.is_some() {
+            let period_ns = BURST_PERIOD.as_nanos();
             let to_boundary = SimDuration::from_nanos(period_ns - now.as_nanos() % period_ns);
             if gap > to_boundary {
                 gap = to_boundary;
@@ -317,8 +310,10 @@ fn issue_op(state: &Shared, cl: &mut Cluster, s: &mut Sched) {
         if remote {
             let (src, dst) = (y.nodes[coord_idx].net, y.nodes[owner_idx].net);
             if let (Some(net), Some(src), Some(dst)) = (y.net.clone(), src, dst) {
-                let record = y.p.record_size;
-                Some(net.borrow_mut().transfer_time(src, dst, record, arrival))
+                Some(
+                    net.borrow_mut()
+                        .transfer_time(src, dst, RECORD_SIZE, arrival),
+                )
             } else {
                 None
             }
@@ -348,7 +343,7 @@ fn run_on_owner(state: Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
     let (vm, cpu, vcpu) = {
         let y = state.0.borrow();
         let req = y.ops[token as usize];
-        (y.nodes[req.owner].vm, y.p.op_cpu, req.vcpu)
+        (y.nodes[req.owner].vm, OP_CPU, req.vcpu)
     };
     cl.run_cpu(s, vm.machine, vm.dom, vcpu, cpu, Waiter::new(state, token));
 }
@@ -359,23 +354,20 @@ fn do_io(state: Shared, cl: &mut Cluster, s: &mut Sched, token: u64) {
         let mut y = state.0.borrow_mut();
         let req = y.ops[token as usize];
         let n_nodes = y.nodes.len() as u64;
-        let record = y.p.record_size;
         let node = &mut y.nodes[req.owner];
         let op = if req.is_read {
             let local_key = req.key / n_nodes;
-            let offset = (local_key * record) % node.data_size.max(record);
+            let offset = (local_key * RECORD_SIZE) % node.data_size.max(RECORD_SIZE);
             FileOp::Read {
                 file: node.data,
                 offset,
-                len: record,
+                len: RECORD_SIZE,
             }
         } else {
-            let off = node.commit_off;
-            node.commit_off = (node.commit_off + record) % (node.commitlog_size - record);
             FileOp::Write {
                 file: node.commitlog,
-                offset: off,
-                len: record,
+                offset: node.next_commit_off(),
+                len: RECORD_SIZE,
             }
         };
         (node.vm, req.vcpu, op)
@@ -391,7 +383,7 @@ impl OpHandler for Ycsb {
             do_io(self, cl, s, token);
         } else if req.replicating {
             // Ack back to the owner, then the normal response path.
-            let at = s.now() + self.0.borrow().p.ipc_delay;
+            let at = s.now() + IPC_DELAY;
             s.schedule_at(at, move |cl, s| finish_read_path(&self, cl, s, token));
         } else {
             finish_op(self, cl, s, token);
@@ -430,8 +422,10 @@ fn finish_read_path(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64)
         let hop_back = if remote {
             let (src, dst) = (y.nodes[owner_idx].net, y.nodes[coord_idx].net);
             if let (Some(net), Some(src), Some(dst)) = (y.net.clone(), src, dst) {
-                let record = y.p.record_size;
-                Some(net.borrow_mut().transfer_time(src, dst, record, s.now()))
+                Some(
+                    net.borrow_mut()
+                        .transfer_time(src, dst, RECORD_SIZE, s.now()),
+                )
             } else {
                 None
             }
@@ -444,10 +438,9 @@ fn finish_read_path(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64)
     let record_done = move |_cl: &mut Cluster, s: &mut Sched| {
         let mut y = st.0.borrow_mut();
         let now = s.now();
-        let bytes = y.p.record_size;
         y.rec
             .borrow_mut()
-            .record(now, now.saturating_since(arrival), bytes);
+            .record(now, now.saturating_since(arrival), RECORD_SIZE);
         y.completed += 1;
         if y.completed >= y.p.max_ops {
             y.rec.borrow_mut().finished = true;
@@ -467,11 +460,10 @@ fn after_update(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64) -> 
     let owner_idx = state.0.borrow().ops[token as usize].owner;
     let flush = {
         let mut y = state.0.borrow_mut();
-        let record = y.p.record_size;
         let threshold = y.p.memtable_flush_bytes;
         let data_size = y.nodes[owner_idx].data_size;
         let node = &mut y.nodes[owner_idx];
-        node.bytes_since_flush += record;
+        node.bytes_since_flush += RECORD_SIZE;
         if node.bytes_since_flush >= threshold {
             node.bytes_since_flush = 0;
             let off = node.sstable_off % data_size.saturating_sub(threshold).max(1);
@@ -499,32 +491,33 @@ fn after_update(state: &Shared, cl: &mut Cluster, s: &mut Sched, token: u64) -> 
     let repl = {
         let mut y = state.0.borrow_mut();
         if y.nodes.len() > 1 {
-            let record = y.p.record_size;
             let next = (owner_idx + 1) % y.nodes.len();
-            let ipc = y.p.ipc_delay;
             // Cross-machine replicas ride the network model; co-located
             // ones pay the loopback IPC delay.
             let hop = match (y.net.clone(), y.nodes[owner_idx].net, y.nodes[next].net) {
                 (Some(net), Some(src), Some(dst))
                     if y.nodes[owner_idx].vm.machine != y.nodes[next].vm.machine =>
                 {
-                    net.borrow_mut().transfer_time(src, dst, record, s.now())
+                    net.borrow_mut()
+                        .transfer_time(src, dst, RECORD_SIZE, s.now())
                 }
-                _ => s.now() + ipc,
+                _ => s.now() + IPC_DELAY,
             };
             y.ops[token as usize].replicating = true;
             let node = &mut y.nodes[next];
-            let off = node.commit_off;
-            node.commit_off = (node.commit_off + record) % (node.commitlog_size - record);
-            Some((node.vm, node.commitlog, off, record, hop))
+            Some((node.vm, node.commitlog, node.next_commit_off(), hop))
         } else {
             None
         }
     };
-    if let Some((vm, file, offset, len, hop)) = repl {
+    if let Some((vm, file, offset, hop)) = repl {
         let st = Rc::clone(state);
         s.schedule_at(hop, move |cl, s| {
-            let op = FileOp::Write { file, offset, len };
+            let op = FileOp::Write {
+                file,
+                offset,
+                len: RECORD_SIZE,
+            };
             cl.submit_op(s, vm.machine, vm.dom, 1, op, Some(Waiter::new(st, token)));
         });
         true
@@ -543,7 +536,6 @@ mod tests {
         let b = YcsbParams::ycsb2(1000.0, 1);
         assert_eq!(a.read_ratio, 0.5);
         assert_eq!(b.read_ratio, 0.95);
-        assert_eq!(a.record_size, b.record_size);
         let c = a.with_burst(SimDuration::from_millis(50)).with_max_ops(100);
         assert!(c.burst.is_some());
         assert_eq!(c.max_ops, 100);

@@ -109,7 +109,6 @@ fn videoserver_streams_are_sequentialish() {
             library: 4,
             video_size: 16 << 20,
             seed: 5,
-            ..VsParams::default()
         },
         Rc::clone(&rec),
     );
@@ -185,7 +184,6 @@ fn olio_tiers_all_record() {
         OlioParams {
             clients: 50,
             seed: 5,
-            ..OlioParams::default()
         },
         recs.clone(),
     );
@@ -216,7 +214,6 @@ fn arrivals_admit_run_and_complete() {
                 ycsb_ops: 2_000,
                 cloud9_cpu_secs: 1.0,
                 seed: 5,
-                ..ArrivalParams::default()
             },
             horizon,
         )

@@ -5,6 +5,7 @@
 
 use iorch_simcore::{gen, SimDuration, SimTime};
 use iorch_workloads::recorder;
+use iorch_workloads::ycsb::{BURST_PEAK_FACTOR, BURST_PERIOD};
 use iorch_workloads::YcsbParams;
 
 const CASES: usize = 64;
@@ -62,13 +63,13 @@ fn burst_params_conserve_rate() {
         let rate = gen::f64_in(rng, 10.0, 10_000.0);
         let burst_ms = 1 + rng.below(899);
         let p = YcsbParams::ycsb1(rate, 1).with_burst(SimDuration::from_millis(burst_ms));
-        let b = p.burst.unwrap();
+        let burst_len = p.burst.unwrap();
         // Integrate the piecewise rate over one cycle.
-        let peak = rate * b.peak_factor;
-        let in_burst = peak.min(rate * b.period.as_secs_f64() / b.burst_len.as_secs_f64())
-            * b.burst_len.as_secs_f64();
-        let per_cycle = rate * b.period.as_secs_f64();
-        let off = (per_cycle - peak * b.burst_len.as_secs_f64()).max(0.0);
+        let peak = rate * BURST_PEAK_FACTOR;
+        let in_burst = peak.min(rate * BURST_PERIOD.as_secs_f64() / burst_len.as_secs_f64())
+            * burst_len.as_secs_f64();
+        let per_cycle = rate * BURST_PERIOD.as_secs_f64();
+        let off = (per_cycle - peak * burst_len.as_secs_f64()).max(0.0);
         let total = in_burst.min(per_cycle) + off;
         assert!(
             (total - per_cycle).abs() / per_cycle < 0.05,

@@ -38,7 +38,6 @@ fn main() {
                 ycsb_ops: 10_000,
                 cloud9_cpu_secs: 2.0,
                 seed: 42,
-                ..ArrivalParams::default()
             },
             horizon,
         );

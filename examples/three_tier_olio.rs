@@ -37,11 +37,7 @@ fn run(kind: SystemKind, clients: u32) -> TierReport {
     let fsv = cl.create_domain(s, machine, VmSpec::new(2, 4).with_disk_gb(40), |_| {});
 
     let recs = OlioRecorders::new(SimTime::from_secs(2));
-    let params = OlioParams {
-        clients,
-        seed: 99,
-        ..OlioParams::default()
-    };
+    let params = OlioParams { clients, seed: 99 };
     spawn_olio(
         cl,
         s,

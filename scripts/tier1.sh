@@ -9,7 +9,6 @@ cargo fmt --check
 cargo build --release --offline
 cargo clippy --workspace --offline --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
-cargo test -q --offline
 cargo test -q --offline --workspace
 
 # `cargo test` compiles the examples but never runs them. Each example

@@ -94,7 +94,6 @@ fn congestion_choreography_releases_false_triggers() {
             streams: 8,
             file_size: 1 << 30,
             read_size: 4 << 20,
-            first_vcpu: 0,
             seed: 4,
         },
         Rc::clone(&rec),
@@ -129,7 +128,6 @@ fn baseline_congestion_sleeps_instead() {
             streams: 8,
             file_size: 1 << 30,
             read_size: 4 << 20,
-            first_vcpu: 0,
             seed: 4,
         },
         Rc::clone(&rec),

@@ -154,7 +154,6 @@ fn store_hammer_is_quarantined_and_operator_clear_restores() {
                 streams: 2,
                 file_size: 256 << 20,
                 read_size: 1 << 20,
-                first_vcpu: 0,
                 seed,
             },
             Rc::clone(&rec),
@@ -278,7 +277,6 @@ fn degraded_device_never_worse_than_baseline() {
                 streams: 4,
                 file_size: 1 << 30,
                 read_size: 1 << 20,
-                first_vcpu: 0,
                 seed,
             },
             Rc::clone(&rec),
@@ -326,7 +324,6 @@ fn device_stall_is_survived() {
                 streams: 4,
                 file_size: 1 << 30,
                 read_size: 1 << 20,
-                first_vcpu: 0,
                 seed,
             },
             Rc::clone(&rec),
@@ -423,7 +420,6 @@ fn ignored_release_request_degrades_gracefully() {
                 streams: 8,
                 file_size: 1 << 30,
                 read_size: 4 << 20,
-                first_vcpu: 0,
                 seed,
             },
             Rc::clone(&rec),
