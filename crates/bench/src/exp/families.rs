@@ -668,22 +668,17 @@ fn run_ablation(ctx: &Ctx) -> Vec<Figure> {
         "us",
         cols(&["p99.9 (us)"]),
     );
-    for name in [
-        "baseline",
-        "sdc",
-        "dif",
-        "flush_only",
-        "congestion_only",
-        "cosched_only",
-        "iorchestra",
+    let only = SystemKind::IOrchestraWith;
+    for (name, kind) in [
+        ("baseline", SystemKind::Baseline),
+        ("sdc", SystemKind::Sdc),
+        ("dif", SystemKind::Dif),
+        ("flush_only", only(FunctionSet::flush_only())),
+        ("congestion_only", only(FunctionSet::congestion_only())),
+        ("cosched_only", only(FunctionSet::cosched_only())),
+        ("iorchestra", SystemKind::IOrchestra),
     ] {
-        let set = PolicySet::named(name, ctx.seed).expect("known policy set");
-        let mode = match name {
-            "sdc" => IoPathMode::DedicatedCores { per_socket: false },
-            "cosched_only" | "iorchestra" => IoPathMode::DedicatedCores { per_socket: true },
-            _ => IoPathMode::Paravirt,
-        };
-        let (v, ops) = bursty_with_set(set, mode, rate, ctx.cfg());
+        let (v, ops) = bursty_with_set(kind.policy_set(ctx.seed), kind.io_mode(), rate, ctx.cfg());
         t0.row(name, vec![v]);
         t0.samples += ops;
     }

@@ -348,7 +348,6 @@ pub fn scaleout_run(
             Some((Rc::clone(&net), net_ids.clone(), master_net)),
             BlastParams {
                 scan_per_query: (32 << 20) / machines as u64,
-                seed: cfg.seed ^ 0xb1a57,
                 ..BlastParams::default()
             },
             Rc::clone(&blast_rec),
@@ -534,7 +533,6 @@ pub fn congestion_run(
                 vm,
                 VsParams {
                     readers: 2,
-                    seed,
                     ..VsParams::default()
                 },
                 Rc::clone(&rec),

@@ -26,7 +26,7 @@ use crate::formulas::{
     drr_quantum, inverse_latency_weights, ratio_changed, socket_io_share, socket_process_weight,
 };
 use crate::keys::{self, val, DomainKeys};
-use crate::monitor::MonitoringModule;
+use crate::monitor;
 use crate::planes::{
     IOrchestraConfig, PlaneStats, FLUSH_ACK_TIMEOUT, FLUSH_RETRY_BACKOFF, RELEASE_ACK_TIMEOUT, TICK,
 };
@@ -77,7 +77,6 @@ impl ControlPlane for LegacyBaselinePlane {
 
 /// Pre-redesign disk-idleness-based flushing (Elango et al. \[17\]).
 pub struct LegacyDifPlane {
-    monitor: MonitoringModule,
     tick: SimDuration,
 }
 
@@ -85,7 +84,6 @@ impl LegacyDifPlane {
     /// New DIF plane.
     pub fn new() -> Self {
         LegacyDifPlane {
-            monitor: MonitoringModule::new(),
             tick: SimDuration::from_millis(100),
         }
     }
@@ -119,7 +117,7 @@ impl ControlPlane for LegacyDifPlane {
     }
 
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
-        let rep = self.monitor.sample(m, s.now());
+        let rep = monitor::sample(m, s.now());
         if rep.device_underutilized {
             // Idleness is broadcast: every VM with dirty pages flushes now.
             // (The simultaneous flush is DIF's weakness vs. Algorithm 1.)
@@ -143,7 +141,6 @@ impl ControlPlane for LegacyDifPlane {
 pub struct LegacyIOrchestraPlane {
     cfg: IOrchestraConfig,
     rng: SimRng,
-    monitor: MonitoringModule,
     anomaly: AnomalyDetector,
     write_count_base: BTreeMap<DomainId, u64>,
     denied_base: BTreeMap<DomainId, u64>,
@@ -192,7 +189,6 @@ impl LegacyIOrchestraPlane {
     pub fn new(cfg: IOrchestraConfig) -> Self {
         LegacyIOrchestraPlane {
             rng: SimRng::new(cfg.seed ^ 0x10c),
-            monitor: MonitoringModule::new(),
             anomaly: AnomalyDetector::new(AnomalyParams::default()),
             write_count_base: BTreeMap::new(),
             denied_base: BTreeMap::new(),
@@ -947,7 +943,7 @@ impl ControlPlane for LegacyIOrchestraPlane {
 
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
-        let report = self.monitor.sample(m, now);
+        let report = monitor::sample(m, now);
         // Anomaly detection on store-write and denied-operation rates.
         // Bases advance for every domain (so an operator clear only counts
         // *new* traffic), but only unquarantined domains feed the detector.
@@ -1011,7 +1007,6 @@ impl ControlPlane for LegacyIOrchestraPlane {
         // the guests) survive. Reset every field to its boot state — the
         // recovery scan rebuilds what was persisted.
         self.rng = SimRng::new(self.cfg.seed ^ 0x10c);
-        self.monitor = MonitoringModule::new();
         self.anomaly = AnomalyDetector::new(AnomalyParams::default());
         self.write_count_base.clear();
         self.denied_base.clear();

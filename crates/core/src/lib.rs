@@ -43,7 +43,7 @@ mod system;
 
 pub use anomaly::{AnomalyDetector, AnomalyParams};
 pub use cluster::{ClusterTier, NodeAgent, NodeCaps};
-pub use monitor::{MonitorReport, MonitoringModule};
+pub use monitor::MonitorReport;
 pub use planes::{FunctionSet, IOrchestraConfig, PlaneStats};
 pub use policy::{Action, PolicyCtx, PolicyEngine, PolicySet, Rule};
 pub use system::SystemKind;

@@ -1,69 +1,26 @@
-//! The monitoring module: samples device and I/O-core status for the
-//! management module (paper §3: "the monitoring module collects and
-//! processes system statistics, such as latency, throughput, performance
-//! counters and access patterns").
+//! The monitoring module: samples device status for the management
+//! module (paper §3: "the monitoring module collects and processes system
+//! statistics, such as latency, throughput, performance counters and
+//! access patterns").
 
 use iorch_hypervisor::Machine;
-use iorch_simcore::{SimDuration, SimTime};
+use iorch_simcore::SimTime;
 
-/// One sample of host-side status.
-#[derive(Clone, Debug)]
+/// One sample of host-side status: the two signals the planes act on.
+#[derive(Clone, Copy, Debug)]
 pub struct MonitorReport {
-    /// When the sample was taken.
-    pub at: SimTime,
-    /// Device bandwidth over the monitoring window as a fraction of
-    /// capacity (blktrace stand-in).
-    pub bandwidth_fraction: f64,
-    /// Below the paper's 1/10 idleness threshold?
+    /// Device bandwidth over the monitoring window below the paper's 1/10
+    /// idleness threshold (blktrace stand-in)?
     pub device_underutilized: bool,
     /// Host queue deep enough to call the device overcrowded?
     pub device_congested: bool,
-    /// Host queue depth.
-    pub queue_depth: usize,
-    /// `(socket, L_i)` — average latency through each I/O core (§3.3).
-    pub core_latencies: Vec<(usize, SimDuration)>,
-    /// Machine CPU utilization so far.
-    pub cpu_utilization: f64,
 }
 
-/// The monitoring module.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MonitoringModule {
-    samples: u64,
-}
-
-impl MonitoringModule {
-    /// New module.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Samples taken so far.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
-
-    /// Take a sample of the machine's status.
-    pub fn sample(&mut self, m: &mut Machine, now: SimTime) -> MonitorReport {
-        self.samples += 1;
-        let bandwidth_fraction = m.storage.monitor_mut().bandwidth_fraction(now);
-        let device_underutilized = m.storage.monitor_mut().is_underutilized(now);
-        let device_congested = m.storage.is_congested();
-        let queue_depth = m.storage.queue_depth();
-        let core_latencies = m
-            .iocores
-            .iter()
-            .map(|c| (c.socket(), c.avg_latency()))
-            .collect();
-        MonitorReport {
-            at: now,
-            bandwidth_fraction,
-            device_underutilized,
-            device_congested,
-            queue_depth,
-            core_latencies,
-            cpu_utilization: m.utilization(now),
-        }
+/// Take a sample of the machine's status at `now`.
+pub fn sample(m: &mut Machine, now: SimTime) -> MonitorReport {
+    MonitorReport {
+        device_underutilized: m.storage.monitor_mut().is_underutilized(now),
+        device_congested: m.storage.is_congested(),
     }
 }
 
@@ -79,23 +36,8 @@ mod tests {
             1,
             IoPathMode::DedicatedCores { per_socket: true },
         ));
-        let mut mon = MonitoringModule::new();
-        let rep = mon.sample(cl.machine_mut(idx), SimTime::from_secs(1));
+        let rep = sample(cl.machine_mut(idx), SimTime::from_secs(1));
         assert!(rep.device_underutilized);
         assert!(!rep.device_congested);
-        assert_eq!(rep.queue_depth, 0);
-        assert_eq!(rep.core_latencies.len(), 2);
-        assert_eq!(mon.sample_count(), 1);
-        // Two spinning cores out of twelve.
-        assert!(rep.cpu_utilization > 0.1 && rep.cpu_utilization < 0.2);
-    }
-
-    #[test]
-    fn paravirt_machine_has_no_core_latencies() {
-        let mut cl = Cluster::new();
-        let idx = cl.add_machine(MachineConfig::paper_testbed(1, IoPathMode::Paravirt));
-        let mut mon = MonitoringModule::new();
-        let rep = mon.sample(cl.machine_mut(idx), SimTime::from_secs(1));
-        assert!(rep.core_latencies.is_empty());
     }
 }

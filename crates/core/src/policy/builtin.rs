@@ -17,7 +17,7 @@ use crate::anomaly::{AnomalyDetector, AnomalyParams};
 use crate::formulas::{
     drr_quantum, inverse_latency_weights, ratio_changed, socket_io_share, socket_process_weight,
 };
-use crate::planes::{FunctionSet, IOrchestraConfig};
+use crate::planes::IOrchestraConfig;
 
 use super::{Action, EnforcementPoint, FlushMode, PolicyCtx, PolicySet, Rule, Verdict};
 
@@ -438,27 +438,5 @@ impl PolicySet {
         PolicySet::custom("dif", IOrchestraConfig::new(0))
             .tick(Some(SimDuration::from_millis(100)))
             .rule(EnforcementPoint::CommandIssue, DifBroadcastRule)
-    }
-
-    /// Look up a built-in set by name (the ablation sweep's vocabulary):
-    /// `iorchestra`, `flush_only`, `congestion_only`, `cosched_only`,
-    /// `baseline`, `sdc`, or `dif`. Returns `None` for unknown names.
-    pub fn named(name: &str, seed: u64) -> Option<PolicySet> {
-        Some(match name {
-            "iorchestra" => PolicySet::iorchestra(IOrchestraConfig::new(seed)),
-            "flush_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::flush_only()),
-            ),
-            "congestion_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::congestion_only()),
-            ),
-            "cosched_only" => PolicySet::iorchestra(
-                IOrchestraConfig::new(seed).with_functions(FunctionSet::cosched_only()),
-            ),
-            "baseline" => PolicySet::baseline(),
-            "sdc" => PolicySet::sdc(),
-            "dif" => PolicySet::dif(),
-            _ => return None,
-        })
     }
 }

@@ -42,7 +42,7 @@ use iorch_simcore::trace::{Decision, TraceEventKind};
 use iorch_simcore::{trace_event, SimDuration, SimRng, SimTime};
 
 use crate::keys::{self, val, DomainKeys};
-use crate::monitor::{MonitorReport, MonitoringModule};
+use crate::monitor::{self, MonitorReport};
 use crate::planes::{PlaneStats, FLUSH_ACK_TIMEOUT, FLUSH_RETRY_BACKOFF, RELEASE_ACK_TIMEOUT};
 
 use super::slab::PlaneSlab;
@@ -61,7 +61,6 @@ pub struct PolicyEngine {
     /// Derived: some rule adjudicates congestion queries.
     adjudicates: bool,
     rng: SimRng,
-    monitor: MonitoringModule,
     /// Slot-indexed per-domain state plus the dirty sets driving every
     /// recurring sweep (release/flush/backoff/quarantine/health state
     /// that used to live in seven parallel `BTreeMap`s).
@@ -93,7 +92,6 @@ impl PolicyEngine {
         let adjudicates = collaborative && any_rule(|r| r.adjudicates());
         PolicyEngine {
             rng: SimRng::new(set.cfg.seed ^ 0x10c),
-            monitor: MonitoringModule::new(),
             collaborative,
             feeds_dirty,
             adjudicates,
@@ -1017,7 +1015,7 @@ impl ControlPlane for PolicyEngine {
 
     fn on_tick(&mut self, m: &mut Machine, s: &mut Sched) {
         let now = s.now();
-        let report = self.monitor.sample(m, now);
+        let report = monitor::sample(m, now);
         // Admission rules (anomaly budgets → quarantine).
         self.eval_point(m, s, now, Some(&report), EnforcementPoint::QueueAdmission);
         if self.collaborative {
@@ -1081,7 +1079,6 @@ impl ControlPlane for PolicyEngine {
         // the guests) survive. Reset every field to its boot state — the
         // recovery scan rebuilds what was persisted.
         self.rng = SimRng::new(self.set.cfg.seed ^ 0x10c);
-        self.monitor = MonitoringModule::new();
         self.slab.clear();
         self.congested_fifo.clear();
         self.manager_watch_registered = false;
@@ -1601,7 +1598,7 @@ mod tests {
         type Sizes = (
             usize,
             usize,
-            [usize; 4],
+            usize,
             [usize; 2],
             usize,
             Vec<[usize; 2]>,

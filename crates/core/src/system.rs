@@ -72,11 +72,9 @@ impl SystemKind {
         }
     }
 
-    /// Add a machine running this system to the cluster (installs the
-    /// matching control plane).
-    pub fn provision(&self, cl: &mut Cluster, s: &mut Sched, seed: u64) -> usize {
-        let idx = cl.add_machine(MachineConfig::paper_testbed(seed, self.io_mode()));
-        let set = match self {
+    /// Policy set of this system's control plane.
+    pub fn policy_set(&self, seed: u64) -> PolicySet {
+        match self {
             SystemKind::Baseline => PolicySet::baseline(),
             SystemKind::Sdc => PolicySet::sdc(),
             SystemKind::Dif => PolicySet::dif(),
@@ -84,8 +82,15 @@ impl SystemKind {
             SystemKind::IOrchestraWith(f) => {
                 PolicySet::iorchestra(IOrchestraConfig::new(seed).with_functions(*f))
             }
-        };
-        let control: Box<dyn iorch_hypervisor::ControlPlane> = Box::new(PolicyEngine::new(set));
+        }
+    }
+
+    /// Add a machine running this system to the cluster (installs the
+    /// matching control plane).
+    pub fn provision(&self, cl: &mut Cluster, s: &mut Sched, seed: u64) -> usize {
+        let idx = cl.add_machine(MachineConfig::paper_testbed(seed, self.io_mode()));
+        let control: Box<dyn iorch_hypervisor::ControlPlane> =
+            Box::new(PolicyEngine::new(self.policy_set(seed)));
         cl.install_control(s, idx, control);
         idx
     }

@@ -34,7 +34,7 @@ pub use machine::{
     Cluster, ControlPlane, Domain, IoPathMode, Machine, MachineConfig, OpHandler, OpResult,
     PlacementCaps, Sched, Waiter,
 };
-pub use numa::{CoreId, NumaTopology, PlacementPolicy};
+pub use numa::{CoreId, NumaTopology};
 pub use ring::{Ring, RingPush};
 pub use xenstore::{
     AsStorePath, IntoStoreValue, Perms, StoreError, StorePath, StoreQuota, TxnId, WatchEvent,

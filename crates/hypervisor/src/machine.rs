@@ -27,7 +27,7 @@ use iorch_storage::{IoRequest, StorageSubsystem, StreamId};
 use crate::cpu::CpuAccounting;
 use crate::domain::{DomainId, VmSpec};
 use crate::iocore::IoCore;
-use crate::numa::{CoreId, NumaTopology, PlacementPolicy};
+use crate::numa::{CoreId, NumaTopology};
 use crate::ring::{Ring, RingPush};
 use crate::xenstore::{Perms, StoreQuota, WatchEvent, XenStore};
 
@@ -410,6 +410,7 @@ impl Cluster {
             return;
         }
         m.control_down = true;
+        m.store.set_now(s.now());
         m.store.unwatch_owner(crate::xenstore::DOM0);
         // Direct invocation, not `with_control`: a dead plane neither
         // flushes store events nor receives queued signals.
@@ -953,9 +954,7 @@ impl Machine {
             self.domains.push(None);
             self.domains.len() - 1
         });
-        let cores = self
-            .topology
-            .place(id, spec.vcpus, PlacementPolicy::PreferSameSocket);
+        let cores = self.topology.place(spec.vcpus);
         // Allocate the virtual disk as a region of the host device,
         // wrapping modulo capacity for long arrival/departure runs.
         let dev_capacity: u64 = 960 << 30;
@@ -1246,15 +1245,9 @@ impl Machine {
         s: &mut Sched,
         f: impl FnOnce(&mut dyn ControlPlane, &mut Machine, &mut Sched),
     ) {
-        // The write-rate quota buckets need the current time; trace
-        // stamping additionally wants it only while recording.
+        // The store's quota buckets and trace stamps need the current time.
         self.store.set_now(s.now());
         if let Some(mut cp) = self.control.take() {
-            if iorch_simcore::trace::enabled() {
-                // Store methods take no clock; stamp trace events with the
-                // time of the event-loop entry running the callback.
-                self.store.set_trace_now(s.now());
-            }
             f(&mut *cp, self, s);
             self.control = Some(cp);
         }
@@ -1267,9 +1260,6 @@ impl Machine {
     fn dispatch_signals(&mut self, s: &mut Sched) {
         if !self.pending_signals.is_empty() {
             self.store.set_now(s.now());
-        }
-        if iorch_simcore::trace::enabled() && !self.pending_signals.is_empty() {
-            self.store.set_trace_now(s.now());
         }
         while self.control.is_some() {
             let Some((dom, sig)) = self.pending_signals.pop_front() else {

@@ -5,22 +5,9 @@
 //! every VCPU of a VM sits on one socket; large VMs violate that, and
 //! IOrchestra balances their I/O across per-socket cores instead.
 
-use crate::domain::DomainId;
-
 /// A physical core index on one machine.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct CoreId(pub usize);
-
-/// Placement strategy for a VM's VCPUs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PlacementPolicy {
-    /// Fill the least-loaded socket first; spill to other sockets only when
-    /// the VM has more VCPUs than the socket has room (the common vSphere /
-    /// Xen practice the paper describes).
-    PreferSameSocket,
-    /// Round-robin across all cores (stress placement for tests).
-    Spread,
-}
 
 /// NUMA sockets of the paper's testbed host (2-socket Xeon).
 const SOCKETS: usize = 2;
@@ -100,32 +87,24 @@ impl NumaTopology {
         self.load[core.0]
     }
 
-    /// Place `vcpus` VCPUs of a VM; returns one core per VCPU.
-    pub fn place(&mut self, _dom: DomainId, vcpus: u32, policy: PlacementPolicy) -> Vec<CoreId> {
+    /// Place `vcpus` VCPUs of a VM; returns one core per VCPU. Fills the
+    /// least-loaded socket first and spills to other sockets only when
+    /// the VM has more VCPUs than the socket has room (the common vSphere
+    /// / Xen practice the paper describes).
+    pub fn place(&mut self, vcpus: u32) -> Vec<CoreId> {
         let mut cores = Vec::with_capacity(vcpus as usize);
-        match policy {
-            PlacementPolicy::Spread => {
-                for _ in 0..vcpus {
-                    let best = self.least_loaded_core_overall();
-                    self.load[best.0] += 1;
-                    cores.push(best);
-                }
+        let mut remaining = vcpus;
+        while remaining > 0 {
+            // Pick the socket with the most free (unreserved, zero-load)
+            // cores; tie-break on total load.
+            let socket = self.best_socket();
+            let take = remaining.min(self.free_cores_in(socket).max(1) as u32);
+            for _ in 0..take {
+                let core = self.least_loaded_core_in(socket);
+                self.load[core.0] += 1;
+                cores.push(core);
             }
-            PlacementPolicy::PreferSameSocket => {
-                let mut remaining = vcpus;
-                while remaining > 0 {
-                    // Pick the socket with the most free (unreserved,
-                    // zero-load) cores; tie-break on total load.
-                    let socket = self.best_socket();
-                    let take = remaining.min(self.free_cores_in(socket).max(1) as u32);
-                    for _ in 0..take {
-                        let core = self.least_loaded_core_in(socket);
-                        self.load[core.0] += 1;
-                        cores.push(core);
-                    }
-                    remaining -= take;
-                }
-            }
+            remaining -= take;
         }
         cores
     }
@@ -163,14 +142,6 @@ impl NumaTopology {
             .filter(|&c| !self.reserved[c.0])
             .min_by_key(|&c| self.load[c.0])
             .unwrap_or_else(|| self.first_core_of(socket))
-    }
-
-    fn least_loaded_core_overall(&self) -> CoreId {
-        (0..self.cores())
-            .map(CoreId)
-            .filter(|&c| !self.reserved[c.0])
-            .min_by_key(|&c| self.load[c.0])
-            .expect("at least one unreserved core")
     }
 
     /// Cores available to VCPUs (total minus dedicated I/O cores).
@@ -219,7 +190,7 @@ mod tests {
     #[test]
     fn small_vm_stays_on_one_socket() {
         let mut t = NumaTopology::paper_testbed();
-        let cores = t.place(DomainId(1), 4, PlacementPolicy::PreferSameSocket);
+        let cores = t.place(4);
         assert_eq!(cores.len(), 4);
         assert_eq!(t.sockets_spanned(&cores).len(), 1);
     }
@@ -228,7 +199,7 @@ mod tests {
     fn big_vm_spans_sockets() {
         let mut t = NumaTopology::paper_testbed();
         // 10 VCPUs on a 12-core (2×6) machine must span both sockets.
-        let cores = t.place(DomainId(1), 10, PlacementPolicy::PreferSameSocket);
+        let cores = t.place(10);
         assert_eq!(cores.len(), 10);
         assert_eq!(t.sockets_spanned(&cores).len(), 2);
     }
@@ -238,7 +209,7 @@ mod tests {
         let mut t = NumaTopology::new(2, 2);
         assert!(t.reserve_io_core(CoreId(0)));
         assert!(!t.reserve_io_core(CoreId(0)));
-        let cores = t.place(DomainId(1), 3, PlacementPolicy::PreferSameSocket);
+        let cores = t.place(3);
         assert!(!cores.contains(&CoreId(0)));
         assert!(t.is_reserved(CoreId(0)));
     }
@@ -246,21 +217,12 @@ mod tests {
     #[test]
     fn load_tracking_and_unplace() {
         let mut t = NumaTopology::new(1, 2);
-        let cores = t.place(DomainId(1), 4, PlacementPolicy::PreferSameSocket);
+        let cores = t.place(4);
         // 4 VCPUs over 2 cores -> 2 each.
         assert_eq!(t.core_load(CoreId(0)) + t.core_load(CoreId(1)), 4);
         t.unplace(&cores);
         assert_eq!(t.core_load(CoreId(0)), 0);
         assert_eq!(t.core_load(CoreId(1)), 0);
-    }
-
-    #[test]
-    fn spread_balances() {
-        let mut t = NumaTopology::new(2, 2);
-        t.place(DomainId(1), 4, PlacementPolicy::Spread);
-        for c in 0..4 {
-            assert_eq!(t.core_load(CoreId(c)), 1);
-        }
     }
 
     #[test]
@@ -274,7 +236,7 @@ mod tests {
         t.reserve_io_core(CoreId(7));
         assert_eq!(t.unreserved_cores(), 9);
         assert_eq!(t.max_unreserved_in_socket(), 5);
-        let cores = t.place(DomainId(1), 4, PlacementPolicy::PreferSameSocket);
+        let cores = t.place(4);
         assert_eq!(t.placed_vcpus(), 4);
         t.unplace(&cores);
         assert_eq!(t.placed_vcpus(), 0);
@@ -283,8 +245,8 @@ mod tests {
     #[test]
     fn second_vm_lands_on_other_socket() {
         let mut t = NumaTopology::paper_testbed();
-        let a = t.place(DomainId(1), 4, PlacementPolicy::PreferSameSocket);
-        let b = t.place(DomainId(2), 4, PlacementPolicy::PreferSameSocket);
+        let a = t.place(4);
+        let b = t.place(4);
         let sa = t.sockets_spanned(&a);
         let sb = t.sockets_spanned(&b);
         assert_ne!(sa, sb, "second VM should prefer the emptier socket");

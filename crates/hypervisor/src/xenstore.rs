@@ -109,6 +109,25 @@ struct TokenBucket {
     last: SimTime,
 }
 
+/// Everything the store keeps per domain. One map entry per domain,
+/// created by the first operation that touches any field and dropped by
+/// [`XenStore::forget_domain`].
+#[derive(Clone, Copy, Debug, Default)]
+struct DomainRecord {
+    /// Writes performed (see [`XenStore::write_count`]).
+    writes: u64,
+    /// Write-type operations (write / write_if_changed / remove / mkdir)
+    /// denied by permissions or quota — the anomaly detector's
+    /// "permission violation" signal. Bumped only on the error path.
+    denied: u64,
+    /// Write-rate token bucket, created full on the domain's first
+    /// rate-limited write.
+    bucket: Option<TokenBucket>,
+    /// Nodes currently owned (maintained only with a quota installed; the
+    /// quota must be set while the store is empty).
+    owned: u64,
+}
+
 /// Per-node permissions (simplified Xen model: an owner domain plus
 /// world-readable / world-writable bits).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -434,31 +453,19 @@ pub struct XenStore {
     watch_epoch: u64,
     txns: BTreeMap<u64, Vec<(DomainId, StorePath, Rc<str>)>>,
     next_txn: u64,
-    write_counts: BTreeMap<DomainId, u64>,
+    /// Per-domain counters, rate bucket and owned-node count.
+    domains: BTreeMap<DomainId, DomainRecord>,
     /// Writes by all domains ever, forgotten ones included. Monotonic: an
     /// unchanged total proves every per-domain count is unchanged, so
     /// per-tick anomaly scans can skip the domain loop in O(1).
     write_total: u64,
     /// Denied operations by all domains ever (same O(1) change check).
     denied_total: u64,
-    /// Per-domain count of denied write-type operations (write /
-    /// write_if_changed / remove / mkdir returning `PermissionDenied`) —
-    /// the anomaly detector's "permission violation" signal. Bumped only
-    /// on the error path, so the hot path never touches it.
-    denied_counts: BTreeMap<DomainId, u64>,
-    /// Sim-time stamp for trace events. The store itself is time-free;
-    /// the machine refreshes this at each event-loop entry while a trace
-    /// recorder is installed (see [`XenStore::set_trace_now`]).
-    trace_now: SimTime,
     /// Per-domain resource limits; `None` (the default) disables all
     /// quota enforcement and accounting.
     quota: Option<StoreQuota>,
-    /// Write-rate token buckets, lazily created full per domain.
-    buckets: BTreeMap<DomainId, TokenBucket>,
-    /// Nodes currently owned per domain (maintained only with a quota
-    /// installed; the quota must be set while the store is empty).
-    owned_counts: BTreeMap<DomainId, u64>,
-    /// Clock for the write-rate buckets, fed by [`XenStore::set_now`].
+    /// The store's clock, fed by [`XenStore::set_now`]: refills the
+    /// write-rate buckets and stamps trace events.
     now: SimTime,
 }
 
@@ -488,25 +495,12 @@ impl XenStore {
             watch_epoch: 0,
             txns: BTreeMap::new(),
             next_txn: 0,
-            write_counts: BTreeMap::new(),
+            domains: BTreeMap::new(),
             write_total: 0,
-            denied_counts: BTreeMap::new(),
             denied_total: 0,
-            trace_now: SimTime::ZERO,
             quota: None,
-            buckets: BTreeMap::new(),
-            owned_counts: BTreeMap::new(),
             now: SimTime::ZERO,
         }
-    }
-
-    /// Set the sim-time used to stamp trace events for subsequent store
-    /// operations. Store methods take no clock of their own, so the
-    /// machine pushes the current time here before running control-plane
-    /// code — and only while a trace recorder is installed, keeping the
-    /// untraced hot path untouched.
-    pub fn set_trace_now(&mut self, now: SimTime) {
-        self.trace_now = now;
     }
 
     /// Install per-domain quotas (see [`StoreQuota`]). Must be called
@@ -525,9 +519,11 @@ impl XenStore {
         self.quota
     }
 
-    /// Advance the clock used by the write-rate token buckets. The store
-    /// itself is time-free; the machine pushes the current sim time here
-    /// at each event-loop entry. Monotonic (a stale time never refunds).
+    /// Advance the store's clock, which refills the write-rate token
+    /// buckets and stamps the store's trace events. Store methods take no
+    /// clock of their own; the machine pushes the current sim time here
+    /// at every entry point that can reach the store. Monotonic (a stale
+    /// time never refunds).
     pub fn set_now(&mut self, now: SimTime) {
         if now > self.now {
             self.now = now;
@@ -536,7 +532,7 @@ impl XenStore {
 
     /// Nodes currently owned by a domain (0 unless a quota is installed).
     pub fn owned_count(&self, dom: DomainId) -> u64 {
-        self.owned_counts.get(&dom).copied().unwrap_or(0)
+        self.domains.get(&dom).map_or(0, |r| r.owned)
     }
 
     /// Refill every domain's write-rate token bucket to its full burst
@@ -547,7 +543,7 @@ impl XenStore {
     pub fn quota_refill_all(&mut self) {
         let Some(quota) = self.quota else { return };
         let now = self.now;
-        for b in self.buckets.values_mut() {
+        for b in self.domains.values_mut().filter_map(|r| r.bucket.as_mut()) {
             b.nanos = quota.write_burst.saturating_mul(TOKEN);
             b.last = now;
         }
@@ -561,10 +557,15 @@ impl XenStore {
         }
         let cap = quota.write_burst.saturating_mul(TOKEN);
         let now = self.now;
-        let b = self.buckets.entry(caller).or_insert(TokenBucket {
-            nanos: cap,
-            last: now,
-        });
+        let b = self
+            .domains
+            .entry(caller)
+            .or_default()
+            .bucket
+            .get_or_insert(TokenBucket {
+                nanos: cap,
+                last: now,
+            });
         let elapsed = now.as_nanos().saturating_sub(b.last.as_nanos());
         b.last = now;
         b.nanos = b
@@ -636,7 +637,7 @@ impl XenStore {
         if self.quota.is_none() || delta == 0 {
             return;
         }
-        let c = self.owned_counts.entry(owner).or_insert(0);
+        let c = &mut self.domains.entry(owner).or_default().owned;
         if delta > 0 {
             *c += delta as u64;
         } else {
@@ -646,10 +647,10 @@ impl XenStore {
 
     #[cold]
     fn note_denied(&mut self, caller: DomainId, path: &str) {
-        *self.denied_counts.entry(caller).or_insert(0) += 1;
+        self.domains.entry(caller).or_default().denied += 1;
         self.denied_total += 1;
         trace_event!(
-            self.trace_now,
+            self.now,
             TraceEventKind::StoreDenied {
                 dom: caller.0,
                 path: Rc::from(path),
@@ -760,10 +761,10 @@ impl XenStore {
             (value, created, node.perms.owner)
         };
         self.account_owned(created_owner, created as i64);
-        *self.write_counts.entry(caller).or_insert(0) += 1;
+        self.domains.entry(caller).or_default().writes += 1;
         self.write_total += 1;
         trace_event!(
-            self.trace_now,
+            self.now,
             TraceEventKind::StoreWrite {
                 dom: caller.0,
                 path: path
@@ -993,30 +994,21 @@ impl XenStore {
         self.watch_prefixes.len()
     }
 
-    /// Forget a destroyed domain: drop its watches, its write/denied
-    /// counters, its write-rate bucket and its owned-node count. The
-    /// monotonic [`write_total`](XenStore::write_total) and
+    /// Forget a destroyed domain: drop its watches and its per-domain
+    /// record (write/denied counters, write-rate bucket, owned-node
+    /// count). The monotonic [`write_total`](XenStore::write_total) and
     /// [`denied_total`](XenStore::denied_total) keep their values. Events
     /// already queued for the domain's watches are kept, so removing the
     /// domain's subtree first still delivers every removal event.
     pub fn forget_domain(&mut self, dom: DomainId) {
         self.unwatch_owner(dom);
-        self.write_counts.remove(&dom);
-        self.denied_counts.remove(&dom);
-        self.buckets.remove(&dom);
-        self.owned_counts.remove(&dom);
+        self.domains.remove(&dom);
     }
 
-    /// Entries in the per-domain maps: write counters, denied counters,
-    /// rate buckets and owned-node counts. Each holds only domains not yet
-    /// passed to [`forget_domain`](XenStore::forget_domain).
-    pub fn domain_entries(&self) -> [usize; 4] {
-        [
-            self.write_counts.len(),
-            self.denied_counts.len(),
-            self.buckets.len(),
-            self.owned_counts.len(),
-        ]
+    /// Domains with a per-domain record: only domains not yet passed to
+    /// [`forget_domain`](XenStore::forget_domain).
+    pub fn domain_entries(&self) -> usize {
+        self.domains.len()
     }
 
     /// Queue events for every watch whose prefix covers `path`.
@@ -1194,13 +1186,13 @@ impl XenStore {
     /// Suppressed [`XenStore::write_if_changed`] republishes do not count:
     /// they put no traffic on the channel.
     pub fn write_count(&self, dom: DomainId) -> u64 {
-        self.write_counts.get(&dom).copied().unwrap_or(0)
+        self.domains.get(&dom).map_or(0, |r| r.writes)
     }
 
     /// Denied write-type operations by a domain (permission violations) —
     /// the anomaly detector's misbehaving-writer signal.
     pub fn denied_count(&self, dom: DomainId) -> u64 {
-        self.denied_counts.get(&dom).copied().unwrap_or(0)
+        self.domains.get(&dom).map_or(0, |r| r.denied)
     }
 
     /// Writes performed by all domains together. Monotonic; equal totals
@@ -1662,7 +1654,7 @@ mod tests {
         s.remove(DOM0, path.as_str()).unwrap();
         s.forget_domain(d(1));
         assert_eq!(s.watch_count(), 0);
-        assert_eq!(s.domain_entries(), [0, 0, 0, 1], "only dom0's owned count");
+        assert_eq!(s.domain_entries(), 1, "only dom0's record");
         assert_eq!((s.write_total(), s.denied_total()), (writes, denied));
         // The removal events queued before the forget are still delivered.
         let evs = s.take_events();

@@ -2,9 +2,7 @@
 //! placement, driven by the in-tree generators (`iorch_simcore::gen`) with
 //! a fixed seed sweep — no external property-test crate.
 
-use iorch_hypervisor::{
-    CoreId, DomainId, IoCore, NumaTopology, Perms, PlacementPolicy, XenStore, DOM0,
-};
+use iorch_hypervisor::{CoreId, DomainId, IoCore, NumaTopology, Perms, XenStore, DOM0};
 use iorch_simcore::{gen, SimRng, SimTime};
 use iorch_storage::{IoKind, IoRequest, RequestId, StreamId};
 
@@ -141,8 +139,8 @@ fn placement_respects_reservations() {
             topo.reserve_io_core(CoreId(6));
         }
         let mut placed = Vec::new();
-        for (i, &v) in vms.iter().enumerate() {
-            let cores = topo.place(DomainId(i as u32), v, PlacementPolicy::PreferSameSocket);
+        for &v in &vms {
+            let cores = topo.place(v);
             assert_eq!(cores.len(), v as usize, "seed {seed}");
             for c in &cores {
                 assert!(!topo.is_reserved(*c), "VCPU on reserved core (seed {seed})");

@@ -23,8 +23,6 @@ pub struct BlastParams {
     pub scan_per_query: u64,
     /// Number of queries (`u64::MAX` = run until stopped).
     pub max_queries: u64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for BlastParams {
@@ -32,7 +30,6 @@ impl Default for BlastParams {
         BlastParams {
             scan_per_query: 64 << 20,
             max_queries: u64::MAX,
-            seed: 1,
         }
     }
 }

@@ -349,8 +349,6 @@ pub struct VsParams {
     pub video_size: u64,
     /// Library size in files.
     pub library: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for VsParams {
@@ -359,7 +357,6 @@ impl Default for VsParams {
             readers: 4,
             video_size: 64 << 20,
             library: 20,
-            seed: 1,
         }
     }
 }
@@ -376,7 +373,6 @@ struct VsState {
     positions: Vec<u64>,
     ingest_pos: u64,
     ingest_file: usize,
-    rng: SimRng,
     rec: Rec,
 }
 
@@ -384,7 +380,6 @@ struct VsState {
 pub fn spawn_videoserver(cl: &mut Cluster, s: &mut Sched, vm: VmRef, p: VsParams, rec: Rec) {
     let library = provision_files(cl, vm, p.library, p.video_size);
     let st = Rc::new(RefCell::new(VsState {
-        rng: SimRng::new(p.seed),
         positions: vec![0; p.readers as usize],
         ingest_pos: 0,
         ingest_file: 0,
@@ -411,7 +406,6 @@ fn vs_read(st: Rc<RefCell<VsState>>, cl: &mut Cluster, s: &mut Sched, reader: u3
         let file = x.library[file_idx as usize];
         let offset = pos % (vsz - CHUNK).max(1);
         x.positions[reader as usize] = pos + CHUNK;
-        let _ = &mut x.rng;
         (
             x.vm,
             FileOp::Read {

@@ -108,7 +108,6 @@ fn videoserver_streams_are_sequentialish() {
             readers: 2,
             library: 4,
             video_size: 16 << 20,
-            seed: 5,
         },
         Rc::clone(&rec),
     );

@@ -144,7 +144,6 @@ fn videoserver() {
         readers: 2,
         library: 3,
         video_size: 8 << 20,
-        ..VsParams::default()
     };
     spawn_videoserver(cl, s, v, p, Rc::clone(&rec));
     sim.run_until(SimTime::from_millis(300));
@@ -291,7 +290,6 @@ fn blast_two_workers() {
     let (cl, s) = sim.parts_mut();
     let p = BlastParams {
         scan_per_query: 6 << 20,
-        seed: 21,
         ..BlastParams::default()
     };
     spawn_blast(

@@ -40,6 +40,11 @@ cargo test -q --offline -p iorch-bench --release --test cluster_convergence -- -
 # legacy plane, seed-swept (the exhaustive sweep is #[ignore]d in debug).
 cargo test -q --offline -p iorch-bench --release --test policy_equivalence -- --include-ignored
 
+# Trace-time oracle: every tracedump scenario under every system at seeds
+# {7, 42, 1337} must render a timeline whose timestamps never decrease
+# (the exhaustive sweep is #[ignore]d in debug).
+cargo test -q --offline -p iorch-bench --release --test trace_determinism -- --include-ignored
+
 # Declarative-runner smoke sweep: every named experiment runs at the
 # smoke profile and every emitted JSON artifact must pass schema
 # validation (required keys, finite numbers, nonzero sample counts).

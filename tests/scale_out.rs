@@ -37,7 +37,6 @@ fn blast_runs_across_four_machines() {
             BlastParams {
                 scan_per_query: 8 << 20,
                 max_queries: 3,
-                ..BlastParams::default()
             },
             Rc::clone(&rec),
         );
